@@ -14,7 +14,7 @@
 
 use reorder_bench::{rule, Scale};
 use reorder_core::techniques::IpidVerdict;
-use reorder_survey::{run_campaign, CampaignConfig};
+use reorder_survey::{run_campaign_with, CampaignConfig, HostReport};
 use reorder_tcpstack::IpidScheme;
 
 fn main() {
@@ -28,16 +28,25 @@ fn main() {
     println!("E6: dual-connection-test amenability across the population (§IV-B)");
     rule(84);
 
-    let out = run_campaign(&cfg, None::<&mut Vec<u8>>).expect("no sink, no error");
+    let mut reports: Vec<HostReport> = Vec::new();
+    let out = run_campaign_with(
+        &cfg,
+        |r, chunk: &mut Vec<HostReport>| chunk.push(r),
+        |chunk| {
+            reports.extend(chunk);
+            Ok(())
+        },
+    )
+    .expect("infallible emit");
 
     // Per-host table at survey scale; at campaign scale show the head.
-    let shown = out.reports.len().min(50);
+    let shown = reports.len().min(50);
     println!(
         "{:<26} {:<14} {:>9} {:<26}",
         "host", "ipid scheme", "backends", "validator verdict"
     );
     rule(84);
-    for r in &out.reports[..shown] {
+    for r in &reports[..shown] {
         let scheme = match r.spec.personality.ipid {
             IpidScheme::GlobalCounter { .. } => "global",
             IpidScheme::GlobalCounterByteSwapped => "global-bswap",
@@ -51,8 +60,8 @@ fn main() {
             r.spec.name, scheme, r.spec.backends, v
         );
     }
-    if shown < out.reports.len() {
-        println!("... ({} more hosts)", out.reports.len() - shown);
+    if shown < reports.len() {
+        println!("... ({} more hosts)", reports.len() - shown);
     }
     rule(84);
     let s = &out.summary;
@@ -70,7 +79,7 @@ fn main() {
     // Cross-check the verdicts against the ground-truth host configs.
     let mut correct = 0;
     let mut checked = 0;
-    for r in &out.reports {
+    for r in &reports {
         let Some(v) = r.verdict else { continue };
         checked += 1;
         let expected = match (r.spec.personality.ipid, r.spec.backends) {

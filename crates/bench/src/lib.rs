@@ -15,8 +15,9 @@
 use reorder_core::sample::{MeasurementRun, TestConfig};
 use reorder_core::scenario::Scenario;
 use reorder_core::{ProbeError, Session, TestKind};
-use std::sync::mpsc;
-use std::thread;
+use reorder_survey::scheduler::{run_chunked, RunProbe};
+use std::ops::ControlFlow;
+use std::sync::{Mutex, PoisonError};
 
 /// Run one registry technique against a scenario's target on port 80 —
 /// the one dispatch helper every `exp_*` binary shares (each used to
@@ -68,66 +69,36 @@ impl Scale {
 /// the input order. The closure runs on worker threads, so everything
 /// it captures must be `Send + Sync`; per-task state (simulators are
 /// single-threaded and `!Send`) is created inside the closure.
+///
+/// Runs on the campaign engine's scheduler
+/// ([`reorder_survey::scheduler::run_chunked`]): job `i` takes input
+/// `i` out of its slot, and outputs come back in chunk order.
 pub fn parallel_map<I, O, F>(inputs: Vec<I>, f: F) -> Vec<O>
 where
     I: Send,
     O: Send,
     F: Fn(I) -> O + Sync,
 {
-    let workers = thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-    let n = inputs.len();
-    let mut results: Vec<Option<O>> = Vec::with_capacity(n);
-    results.resize_with(n, || None);
-    let (tx, rx) = mpsc::channel::<(usize, O)>();
-    let tasks: Vec<(usize, I)> = inputs.into_iter().enumerate().collect();
-    let queue = parking::Queue::new(tasks);
-    thread::scope(|s| {
-        for _ in 0..workers.min(n.max(1)) {
-            let tx = tx.clone();
-            let queue = &queue;
-            let f = &f;
-            s.spawn(move || {
-                while let Some((i, input)) = queue.pop() {
-                    let out = f(input);
-                    if tx.send((i, out)).is_err() {
-                        return;
-                    }
-                }
-            });
-        }
-        drop(tx);
-        for (i, out) in rx {
-            results[i] = Some(out);
-        }
-    });
-    results
-        .into_iter()
-        .map(|o| o.expect("all tasks ran"))
-        .collect()
-}
-
-/// Tiny internal work queue shared by the scoped worker threads.
-mod parking {
-    use std::sync::Mutex;
-
-    pub struct Queue<T> {
-        items: Mutex<Vec<T>>,
-    }
-
-    impl<T> Queue<T> {
-        pub fn new(mut items: Vec<T>) -> Self {
-            items.reverse(); // pop() yields original order
-            Queue {
-                items: Mutex::new(items),
-            }
-        }
-
-        pub fn pop(&self) -> Option<T> {
-            self.items.lock().expect("queue poisoned").pop()
-        }
-    }
+    let slots: Vec<Mutex<Option<I>>> = inputs.into_iter().map(|i| Mutex::new(Some(i))).collect();
+    let mut out = Vec::with_capacity(slots.len());
+    run_chunked(
+        slots.len(),
+        0,
+        |_| ((), ()),
+        |_, _, chunk: &mut Vec<O>, i| {
+            let input = slots[i]
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .take();
+            chunk.extend(input.map(&f));
+        },
+        |chunk| {
+            out.extend(chunk);
+            ControlFlow::Continue(())
+        },
+        &RunProbe::disabled(),
+    );
+    out
 }
 
 /// Print a horizontal rule sized to `width`.

@@ -26,7 +26,7 @@ fn bool_field(text: &str, key: &str) -> Result<bool, String> {
 
 /// The output-affecting configuration of one campaign, plus its shard
 /// plan. Field set mirrors [`CampaignConfig`] minus the runtime knobs
-/// (`workers`, `pool`, `keep_reports`, `telemetry`, `progress`) that
+/// (`workers`, `pool`, `telemetry`, `progress`) that
 /// cannot change campaign bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CampaignSpec {
@@ -181,7 +181,6 @@ impl CampaignSpec {
             gaps_us: self.gaps_us.clone(),
             reuse: self.reuse,
             sim_version: self.sim_version,
-            keep_reports: false,
             telemetry,
             model: PopulationModel {
                 chaos_ppm: self.chaos_ppm,

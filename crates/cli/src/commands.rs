@@ -11,8 +11,10 @@ use reorder_core::scenario::{self, SimVersion};
 use reorder_core::validate::validate_run;
 use reorder_core::{technique, Measurer, Session, TestKind};
 use reorder_netsim::pipes::{ArqConfig, CrossTraffic};
+use reorder_survey::report::jsonl_line;
+use reorder_survey::scheduler::{run_chunked, RunProbe};
 use reorder_survey::{
-    run_campaign, Budget, CampaignConfig, CampaignTelemetry, PopulationModel, ShardAggregator,
+    run_campaign_with, Budget, CampaignConfig, CampaignTelemetry, PopulationModel, ShardAggregator,
     ShardState, TechniqueChoice, TelemetryMode,
 };
 use reorder_tcpstack::HostPersonality;
@@ -174,61 +176,64 @@ pub fn profile(args: &Args) -> Result<(), ArgError> {
     let gaps: Vec<u64> = (0..=max_us / step_us).map(|i| i * step_us).collect();
     let mechanism = &mechanism;
     let mut sweep_err: Option<ArgError> = None;
-    reorder_survey::scheduler::run_sharded(
+    run_chunked(
         gaps.len(),
         workers,
-        |_| {
-            |i: usize| -> Result<ReorderEstimate, String> {
-                let gap = gaps[i];
-                let mut sc = match mechanism.as_str() {
-                    "striping" => scenario::striped_path_with(
-                        2,
-                        1_000_000_000,
-                        CrossTraffic::backbone(),
-                        HostPersonality::freebsd4(),
-                        sim_version,
-                        seed + gap,
-                    ),
-                    "multipath" => scenario::multipath_path(Duration::from_micros(80), seed + gap),
-                    "arq" => scenario::wireless_path(ArqConfig::default(), seed + gap),
-                    _ => unreachable!("mechanism validated above"),
-                };
-                let cfg = TestConfig {
-                    samples,
-                    gap: Duration::from_micros(gap),
-                    pace: Duration::from_millis(2),
-                    reply_timeout: Duration::from_millis(900),
-                    ..TestConfig::default()
-                };
-                let mut session = Session::new(&mut sc.prober, sc.target, 80);
-                Measurer::new(TestKind::DualConnection)
-                    .with_config(cfg)
-                    .run(&mut session)
-                    .map(|m| m.fwd)
-                    .map_err(|e| format!("measurement failed at gap {gap}us: {e}"))
-            }
-        },
-        |i, outcome| {
+        |_| ((), ()),
+        |_, _, rows: &mut Vec<Result<String, String>>, i| {
             let gap = gaps[i];
-            match outcome {
-                Ok(est) => {
+            let mut sc = match mechanism.as_str() {
+                "striping" => scenario::striped_path_with(
+                    2,
+                    1_000_000_000,
+                    CrossTraffic::backbone(),
+                    HostPersonality::freebsd4(),
+                    sim_version,
+                    seed + gap,
+                ),
+                "multipath" => scenario::multipath_path(Duration::from_micros(80), seed + gap),
+                "arq" => scenario::wireless_path(ArqConfig::default(), seed + gap),
+                _ => unreachable!("mechanism validated above"),
+            };
+            let cfg = TestConfig {
+                samples,
+                gap: Duration::from_micros(gap),
+                pace: Duration::from_millis(2),
+                reply_timeout: Duration::from_millis(900),
+                ..TestConfig::default()
+            };
+            let mut session = Session::new(&mut sc.prober, sc.target, 80);
+            let row = Measurer::new(TestKind::DualConnection)
+                .with_config(cfg)
+                .run(&mut session)
+                .map(|m| {
+                    let est = m.fwd;
                     if csv {
-                        println!("{gap},{},{},{:.6}", est.reordered, est.total, est.rate());
+                        format!("{gap},{},{},{:.6}", est.reordered, est.total, est.rate())
                     } else {
-                        println!(
+                        format!(
                             "{gap:>8} {:>7.2}%  {}",
                             est.rate() * 100.0,
                             "#".repeat((est.rate() * 300.0).round() as usize)
-                        );
+                        )
                     }
-                    std::ops::ControlFlow::Continue(())
-                }
-                Err(e) => {
-                    sweep_err = Some(ArgError(e));
-                    std::ops::ControlFlow::Break(())
+                })
+                .map_err(|e| format!("measurement failed at gap {gap}us: {e}"));
+            rows.push(row);
+        },
+        |rows| {
+            for row in rows {
+                match row {
+                    Ok(line) => println!("{line}"),
+                    Err(e) => {
+                        sweep_err = Some(ArgError(e));
+                        return std::ops::ControlFlow::Break(());
+                    }
                 }
             }
+            std::ops::ControlFlow::Continue(())
         },
+        &RunProbe::disabled(),
     );
     match sweep_err {
         Some(e) => Err(e),
@@ -310,7 +315,6 @@ pub fn survey(args: &Args) -> Result<(), ArgError> {
         "gaps-us",
         "no-baseline",
         "no-reuse",
-        "no-pool",
         "amenability-only",
         "per-host",
         "shard",
@@ -350,15 +354,10 @@ pub fn survey(args: &Args) -> Result<(), ArgError> {
             .map_err(ArgError)?,
         baseline: !args.switch("no-baseline"),
         reuse: !args.switch("no-reuse"),
-        pool: !args.switch("no-pool"),
         amenability_only: args.switch("amenability-only"),
         gaps_us: parse_gaps(args.get("gaps-us").unwrap_or(""))?,
         sim_version: parse_sim_version(args)?,
         shard: args.get("shard").map(parse_shard).transpose()?,
-        // Only the `--per-host` table reads `out.reports`; without it
-        // (and without `--jsonl`) the engine takes the funnel-free
-        // sharded-fold path and never materialises per-host reports.
-        keep_reports: args.switch("per-host"),
         telemetry,
         progress: args.switch("progress"),
         model: PopulationModel {
@@ -373,6 +372,7 @@ pub fn survey(args: &Args) -> Result<(), ArgError> {
                 backoff: Duration::from_millis(backoff_ms),
             }
         },
+        ..CampaignConfig::default()
     };
 
     let started = std::time::Instant::now();
@@ -390,8 +390,41 @@ pub fn survey(args: &Args) -> Result<(), ArgError> {
         )),
         None => None,
     };
-    let out = run_campaign(&cfg, sink.as_mut())
-        .map_err(|e| ArgError(format!("writing JSONL report: {e}")))?;
+    // Workers render each host's JSONL line and `--per-host` table row
+    // into their chunk; this thread only writes the JSONL bytes and
+    // collects the rows, both in host-id order.
+    let per_host = args.switch("per-host");
+    let jsonl = sink.is_some();
+    let mut table = String::new();
+    let out = run_campaign_with(
+        &cfg,
+        |r, (lines, rows): &mut (Vec<u8>, String)| {
+            if jsonl {
+                lines.extend_from_slice(jsonl_line(&r).as_bytes());
+                lines.push(b'\n');
+            }
+            if per_host {
+                use std::fmt::Write as _;
+                let _ = writeln!(
+                    rows,
+                    "{:<22} {:<12} {:<13} {:>10} {:>8.2}% {:>8.2}% {:>12}",
+                    r.spec.name,
+                    r.spec.personality.name,
+                    r.verdict.map_or("probe-failed", |v| v.label()),
+                    r.technique,
+                    r.fwd.rate() * 100.0,
+                    r.rev.rate() * 100.0,
+                    if r.reachable { "ok" } else { "unreachable" }
+                );
+            }
+        },
+        |(lines, rows)| {
+            use std::io::Write as _;
+            table.push_str(&rows);
+            sink.as_mut().map_or(Ok(()), |w| w.write_all(&lines))
+        },
+    )
+    .map_err(|e| ArgError(format!("writing JSONL report: {e}")))?;
     match sink {
         Some(JsonlSink::Stdout(mut w)) => {
             use std::io::Write as _;
@@ -427,26 +460,14 @@ pub fn survey(args: &Args) -> Result<(), ArgError> {
     }
 
     let mut human = String::new();
-    if args.switch("per-host") {
+    if per_host {
         use std::fmt::Write as _;
         let _ = writeln!(
             human,
             "{:<22} {:<12} {:<13} {:>10} {:>9} {:>9} {:>12}",
             "host", "personality", "verdict", "technique", "fwd", "rev", "status"
         );
-        for r in &out.reports {
-            let _ = writeln!(
-                human,
-                "{:<22} {:<12} {:<13} {:>10} {:>8.2}% {:>8.2}% {:>12}",
-                r.spec.name,
-                r.spec.personality.name,
-                r.verdict.map_or("probe-failed", |v| v.label()),
-                r.technique,
-                r.fwd.rate() * 100.0,
-                r.rev.rate() * 100.0,
-                if r.reachable { "ok" } else { "unreachable" }
-            );
-        }
+        human.push_str(&table);
     }
     human.push_str(&out.summary.render());
     if shard_state.is_some() {

@@ -616,7 +616,7 @@ impl ScenarioPool {
 
     /// A pool that never recycles: every checkout constructs a fresh
     /// [`Simulator`]. The ablation arm of the pooled-vs-fresh
-    /// determinism tests and the `--no-pool` campaign flag.
+    /// determinism tests and of `exp_scale`'s pooling ablation.
     pub fn disabled() -> Self {
         ScenarioPool {
             enabled: false,

@@ -11,9 +11,9 @@
 //! sketches, and fixed-point `Moments`. Absorbing reports in any order
 //! — or folding disjoint subsets into separate [`ShardAggregator`]s
 //! and merging — produces bit-identical state. That law is what lets
-//! summary-only campaigns skip the id-order reorder buffer entirely
-//! (each worker folds the hosts it happened to run; the final merge is
-//! associative), and it is the persistence primitive for
+//! every campaign keep its summary on the workers (each worker folds
+//! the hosts it happened to run; the final merge is associative), and
+//! it is the persistence primitive for
 //! checkpoint/resume: a shard's summary can be serialized, reloaded
 //! and merged losslessly.
 
@@ -737,9 +737,9 @@ impl CampaignSummary {
 }
 
 /// One worker's (or one process-shard's) aggregation state: a summary
-/// plus the per-host perf counters that used to ride the id-order
-/// funnel. Workers fold whichever hosts the work-stealing scheduler
-/// hands them; because every summary field merges exactly (see
+/// plus the simulator event count. Workers fold whichever hosts the
+/// work-stealing scheduler hands them; because every summary field
+/// merges exactly (see
 /// [`CampaignSummary::merge`]), the final fold over shard aggregators
 /// is independent of the nondeterministic host-to-worker assignment.
 #[derive(Debug, Clone, Default)]

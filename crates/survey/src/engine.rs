@@ -1,12 +1,16 @@
-//! The campaign engine: population → sharded scheduler → per-host
-//! pipeline → streaming aggregation and sinks.
+//! The campaign engine: population → chunked scheduler → per-host
+//! pipeline → worker-side aggregation and rendering → in-order sinks.
 //!
 //! Determinism invariants (asserted by `tests/determinism.rs`):
 //!
 //! * host `i`'s spec and measurement seed depend only on `(model,
 //!   master seed, i)` — never on the worker that ran it;
-//! * the JSONL sink and summary absorb results in host-id order via
-//!   the scheduler's reorder buffer, pinning float accumulation order;
+//! * each worker folds its hosts into its own [`ShardAggregator`], an
+//!   exactly mergeable commutative monoid, so the merged summary does
+//!   not depend on which worker ran which host;
+//! * per-host output (JSONL lines, table rows) is rendered on the
+//!   worker into contiguous id chunks that the scheduler hands to the
+//!   sink in chunk order;
 //! * therefore campaign output is byte-identical across reruns *and*
 //!   worker counts.
 
@@ -15,16 +19,14 @@ use crate::metrics::{progress_line, CampaignTelemetry};
 use crate::pipeline::{survey_host_traced, HostJob, HostReport, TechniqueChoice};
 use crate::population::PopulationModel;
 use crate::report::jsonl_line;
-use crate::scheduler::{
-    resolve_workers, run_folded_probed, run_sharded_probed, PoolStats, RunProbe,
-};
+use crate::scheduler::{resolve_workers, run_chunked, PoolStats, RunProbe};
 use reorder_core::scenario::{ScenarioPool, SimVersion};
 use reorder_core::telemetry::{intern_label, TelemetryMode, WorkerTelemetry};
 use reorder_core::Budget;
 use reorder_netsim::rng as simrng;
 use std::io::{self, Write};
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Everything a campaign needs.
@@ -54,7 +56,7 @@ pub struct CampaignConfig {
     /// per-phase protocol.
     pub reuse: bool,
     /// Recycle each worker's simulator allocations across hosts via a
-    /// [`ScenarioPool`]. On by default; `--no-pool` is the ablation
+    /// [`ScenarioPool`]. On by default; off is `exp_scale`'s ablation
     /// arm (byte-identical output, fresh construction per host).
     pub pool: bool,
     /// Simulation format version (the CLI's `--sim-version`): v2
@@ -65,14 +67,6 @@ pub struct CampaignConfig {
     /// versions' reports intentionally differ — a declared output
     /// break).
     pub sim_version: SimVersion,
-    /// Retain per-host [`HostReport`]s in [`CampaignOutcome::reports`].
-    /// On by default (library callers inspect them); the CLI turns it
-    /// off unless `--per-host` asks for the table. When off **and** no
-    /// JSONL sink is attached, the campaign takes the funnel-free
-    /// path: per-worker [`ShardAggregator`]s fold results locally and
-    /// merge at the end — no reorder buffer, no consuming thread, no
-    /// O(hosts) report vector.
-    pub keep_reports: bool,
     /// Telemetry mode: `Off` (default) measures nothing; `Summary`
     /// collects counters and phase-span moments; `Full` adds
     /// [`reorder_core::stats::QuantileSketch`] latency distributions.
@@ -130,7 +124,6 @@ impl Default for CampaignConfig {
             reuse: true,
             pool: true,
             sim_version: SimVersion::default(),
-            keep_reports: true,
             telemetry: TelemetryMode::Off,
             progress: false,
             shard: None,
@@ -143,9 +136,6 @@ impl Default for CampaignConfig {
 /// What a finished campaign hands back.
 #[derive(Debug)]
 pub struct CampaignOutcome {
-    /// Per-host reports, in host-id order (O(hosts) memory). Empty
-    /// when [`CampaignConfig::keep_reports`] is off.
-    pub reports: Vec<HostReport>,
     /// Streaming aggregates.
     pub summary: CampaignSummary,
     /// Scheduler counters (workers used, cross-shard steals).
@@ -166,16 +156,49 @@ pub struct CampaignOutcome {
 /// campaign (remaining hosts are not simulated) and is returned here.
 /// A campaign without a sink cannot fail.
 ///
-/// Summary-only campaigns (no sink, [`CampaignConfig::keep_reports`]
-/// off) never instantiate the id-order reorder buffer: each worker
-/// folds its results into a local [`ShardAggregator`] and the shard
-/// states merge associatively at the end. The summary is bit-identical
-/// between the two paths — aggregation is order-independent by
-/// construction, and the determinism suite asserts it.
+/// This is [`run_campaign_with`] rendering each host's JSONL line into
+/// its chunk's byte buffer on the worker; the calling thread only
+/// writes whole chunks.
 pub fn run_campaign<W: Write>(
     cfg: &CampaignConfig,
     jsonl: Option<&mut W>,
 ) -> io::Result<CampaignOutcome> {
+    match jsonl {
+        Some(w) => run_campaign_with(
+            cfg,
+            |report, buf: &mut Vec<u8>| {
+                buf.extend_from_slice(jsonl_line(&report).as_bytes());
+                buf.push(b'\n');
+            },
+            |buf| w.write_all(&buf),
+        ),
+        None => run_campaign_with(cfg, |_, _: &mut ()| {}, |()| Ok(())),
+    }
+}
+
+/// Run a campaign, handing every host's [`HostReport`] to `render` on
+/// the worker that simulated it and the rendered chunks to `emit` on
+/// the calling thread, in host-id order.
+///
+/// Hosts run in contiguous id chunks (see [`run_chunked`]). Each
+/// worker folds its reports into its own [`ShardAggregator`] and
+/// telemetry, then calls `render(report, &mut payload)` to append
+/// whatever the caller wants in order — JSONL bytes, table rows, the
+/// reports themselves. `emit(payload)` receives the chunks in id
+/// order; its first error aborts the campaign (remaining hosts are
+/// not simulated) and is returned. The summary is a commutative monoid
+/// merged at the end, so it is bit-identical whatever the worker
+/// count — the determinism suite asserts it.
+pub fn run_campaign_with<P, R, E>(
+    cfg: &CampaignConfig,
+    render: R,
+    mut emit: E,
+) -> io::Result<CampaignOutcome>
+where
+    P: Default + Send,
+    R: Fn(HostReport, &mut P) + Sync,
+    E: FnMut(P) -> io::Result<()>,
+{
     let job = HostJob {
         samples: cfg.samples.max(1),
         rounds: cfg.rounds.max(1),
@@ -194,22 +217,26 @@ pub fn run_campaign<W: Write>(
         Some((k, n)) => shard_bounds(cfg.hosts, k, n),
         None => (0, cfg.hosts),
     };
+    let mode = cfg.telemetry;
 
     // One simulator pool per worker: recycled allocations, never
     // shared results (simulations are !Send anyway).
-    let mk_pool = || {
-        if cfg.pool {
+    let mk_worker = |_w: usize| {
+        let pool = if cfg.pool {
             ScenarioPool::new()
         } else {
             ScenarioPool::disabled()
-        }
+        };
+        (pool, (ShardAggregator::default(), WorkerTelemetry::new()))
     };
-    // The per-host pipeline, shared by both consumption paths: a pure
-    // function of (config, master seed, absolute id) — never of the
-    // worker that runs it. Telemetry observes into `tel` and never
-    // feeds back into the report.
+    // The per-host pipeline: a pure function of (config, master seed,
+    // absolute id) — never of the worker that runs it. Telemetry
+    // observes into `tel` and never feeds back into the report.
     let job = &job;
-    let run_host = |pool: &mut ScenarioPool, tel: &mut WorkerTelemetry, i: usize| -> HostReport {
+    let step = |pool: &mut ScenarioPool,
+                (agg, tel): &mut (ShardAggregator, WorkerTelemetry),
+                payload: &mut P,
+                i: usize| {
         let id = (lo + i) as u64;
         let mut spec = cfg.model.host(id, cfg.seed);
         // The version is configuration, not population: stamp it after
@@ -218,151 +245,70 @@ pub fn run_campaign<W: Write>(
         spec.sim_version = cfg.sim_version;
         let host_seed = simrng::derive_seed(cfg.seed, &format!("survey.run.{id}"));
         let report = survey_host_traced(id, &spec, host_seed, job, pool, tel);
+        agg.absorb(&report);
         // Outcome counters ride the worker's own telemetry, so they
-        // merge partition-invariantly on both consumption paths and
-        // surface in the `reorder.metrics/1` export.
-        if cfg.telemetry.is_enabled() {
+        // merge partition-invariantly and surface in the
+        // `reorder.metrics/1` export.
+        if mode.is_enabled() {
             let key = intern_label(&format!("host.outcome.{}", report.outcome.label()));
             tel.count(key, 1);
+            tel.count("agg.absorbs", 1);
         }
-        report
+        render(report, payload);
     };
 
     // Live observation surface: `done` always counts completed hosts;
     // timing (busy/idle splits, live utilization) turns on when either
-    // telemetry or the progress heartbeat needs it. `workers_used`
+    // telemetry or the progress heartbeat needs it. The slot count
     // mirrors the scheduler's own worker resolution.
-    let mode = cfg.telemetry;
     let jobs = hi - lo;
-    let workers_used = resolve_workers(cfg.workers).min(jobs.max(1));
     let timed = mode.is_enabled() || cfg.progress;
-    let probe = RunProbe::new(timed, workers_used);
+    let probe = RunProbe::new(timed, resolve_workers(cfg.workers).min(jobs.max(1)));
     let probe = &probe;
 
-    let mut sink = jsonl;
     let mut run = move || -> io::Result<CampaignOutcome> {
-        if sink.is_none() && !cfg.keep_reports {
-            // Funnel-free path: fold per worker, merge shard
-            // aggregators in worker order (any order gives the same
-            // bits). Worker telemetry rides the fold state.
-            let (shards, stats) = run_folded_probed(
-                jobs,
-                cfg.workers,
-                |_w| {
-                    (
-                        mk_pool(),
-                        (ShardAggregator::default(), WorkerTelemetry::new()),
-                    )
-                },
-                |pool, state: &mut (ShardAggregator, WorkerTelemetry), i| {
-                    let (agg, tel) = state;
-                    let report = run_host(pool, tel, i);
-                    agg.absorb(&report);
-                    if mode.is_enabled() {
-                        tel.count("agg.absorbs", 1);
-                    }
-                },
-                probe,
-            );
-            let mut merged = ShardAggregator::default();
-            let mut telemetry = CampaignTelemetry {
-                mode,
-                ..CampaignTelemetry::default()
-            };
-            for (agg, tel) in shards {
-                merged.merge(&agg);
-                if mode.is_enabled() {
-                    telemetry.campaign.count("agg.merges", 1);
-                    telemetry.per_worker.push(tel);
-                }
-            }
-            attach_scheduler_counters(&mut telemetry, &stats);
-            return Ok(CampaignOutcome {
-                reports: Vec::new(),
-                summary: merged.summary,
-                stats,
-                events: merged.events,
-                telemetry,
-            });
-        }
-
-        // Ordered path: a reorder buffer feeds the sink (and the
-        // report vector) in host-id order; the summary shares the same
-        // order-independent aggregation code. Per-worker telemetry
-        // accumulates in a slot per worker (merged per host — the
-        // job closure has no end-of-run hook), absorbs are counted on
-        // the collector where they happen.
-        let mut reports: Vec<HostReport> =
-            Vec::with_capacity(if cfg.keep_reports { jobs } else { 0 });
-        let mut agg = ShardAggregator::default();
-        let mut collector_tel = WorkerTelemetry::new();
-        let tel_slots: Vec<Mutex<WorkerTelemetry>> = (0..workers_used)
-            .map(|_| Mutex::new(WorkerTelemetry::new()))
-            .collect();
-        let mut sink_err: Option<io::Error> = None;
-        let stats = run_sharded_probed(
+        let mut emit_err: Option<io::Error> = None;
+        let (shards, stats) = run_chunked(
             jobs,
             cfg.workers,
-            |w| {
-                let mut pool = mk_pool();
-                let slot = &tel_slots[w];
-                move |i| {
-                    let mut tel = WorkerTelemetry::new();
-                    let report = run_host(&mut pool, &mut tel, i);
-                    if mode.is_enabled() {
-                        slot.lock().expect("telemetry slot poisoned").merge(&tel);
-                    }
-                    report
+            mk_worker,
+            step,
+            |payload| match emit(payload) {
+                Ok(()) => ControlFlow::Continue(()),
+                // A dead sink (full disk, closed pipe) aborts the
+                // campaign instead of burning the remaining hosts'
+                // simulation time on a report that will be Err anyway.
+                Err(e) => {
+                    emit_err = Some(e);
+                    ControlFlow::Break(())
                 }
-            },
-            |_, report| {
-                if let Some(w) = sink.as_mut() {
-                    let line = jsonl_line(&report);
-                    if let Err(e) = w
-                        .write_all(line.as_bytes())
-                        .and_then(|()| w.write_all(b"\n"))
-                    {
-                        // A dead sink (full disk, closed pipe) aborts the
-                        // campaign instead of burning the remaining hosts'
-                        // simulation time on a report that will be Err anyway.
-                        sink_err = Some(e);
-                        return std::ops::ControlFlow::Break(());
-                    }
-                }
-                agg.absorb(&report);
-                if mode.is_enabled() {
-                    collector_tel.count("agg.absorbs", 1);
-                }
-                if cfg.keep_reports {
-                    reports.push(report);
-                }
-                std::ops::ControlFlow::Continue(())
             },
             probe,
         );
-
+        if let Some(e) = emit_err {
+            return Err(e);
+        }
+        // Merge shard aggregators in worker order (any order gives the
+        // same bits); worker telemetry rides the fold state.
+        let mut merged = ShardAggregator::default();
         let mut telemetry = CampaignTelemetry {
             mode,
-            campaign: collector_tel,
             ..CampaignTelemetry::default()
         };
-        if mode.is_enabled() {
-            telemetry.per_worker = tel_slots
-                .into_iter()
-                .map(|m| m.into_inner().expect("telemetry slot poisoned"))
-                .collect();
+        for (agg, tel) in shards {
+            merged.merge(&agg);
+            if mode.is_enabled() {
+                telemetry.campaign.count("agg.merges", 1);
+                telemetry.per_worker.push(tel);
+            }
         }
         attach_scheduler_counters(&mut telemetry, &stats);
-        match sink_err {
-            Some(e) => Err(e),
-            None => Ok(CampaignOutcome {
-                reports,
-                summary: agg.summary,
-                stats,
-                events: agg.events,
-                telemetry,
-            }),
-        }
+        Ok(CampaignOutcome {
+            summary: merged.summary,
+            stats,
+            events: merged.events,
+            telemetry,
+        })
     };
 
     if !cfg.progress {
@@ -418,31 +364,47 @@ fn attach_scheduler_counters(tel: &mut CampaignTelemetry, stats: &PoolStats) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicUsize;
 
-    fn quick(hosts: usize, workers: usize) -> (Vec<u8>, CampaignOutcome) {
-        let cfg = CampaignConfig {
+    fn quick_cfg(hosts: usize, workers: usize) -> CampaignConfig {
+        CampaignConfig {
             hosts,
             workers,
             seed: 11,
             samples: 4,
             baseline: false,
             ..CampaignConfig::default()
-        };
+        }
+    }
+
+    fn quick(hosts: usize, workers: usize) -> (Vec<u8>, CampaignOutcome) {
         let mut buf = Vec::new();
-        let out = run_campaign(&cfg, Some(&mut buf)).expect("in-memory sink");
+        let out = run_campaign(&quick_cfg(hosts, workers), Some(&mut buf)).expect("in-memory sink");
         (buf, out)
+    }
+
+    /// Every host's report, in emit order.
+    fn reports(cfg: &CampaignConfig) -> (Vec<HostReport>, CampaignOutcome) {
+        let mut all = Vec::new();
+        let out = run_campaign_with(
+            cfg,
+            |r, chunk: &mut Vec<HostReport>| chunk.push(r),
+            |chunk| {
+                all.extend(chunk);
+                Ok(())
+            },
+        )
+        .expect("infallible emit");
+        (all, out)
     }
 
     #[test]
     fn reports_arrive_in_id_order() {
-        let (buf, out) = quick(12, 3);
-        assert_eq!(out.reports.len(), 12);
-        assert!(out
-            .reports
-            .iter()
-            .enumerate()
-            .all(|(k, r)| r.id == k as u64));
+        let (all, out) = reports(&quick_cfg(12, 3));
+        assert_eq!(all.len(), 12);
+        assert!(all.iter().enumerate().all(|(k, r)| r.id == k as u64));
         assert_eq!(out.summary.hosts, 12);
+        let (buf, _) = quick(12, 3);
         assert_eq!(
             buf.split(|&b| b == b'\n').filter(|l| !l.is_empty()).count(),
             12
@@ -451,9 +413,36 @@ mod tests {
 
     #[test]
     fn worker_count_does_not_change_output() {
-        let (a, _) = quick(10, 1);
-        let (b, _) = quick(10, 4);
-        assert_eq!(a, b);
+        // Chunk edges: at 1 worker, 16 hosts are four 4-id chunks and
+        // 17 and 23 leave 1- and 3-id tails; at 2 workers, 16 are eight
+        // 2-id chunks; 15 and small counts run 1-id chunks; 0 and 1
+        // leave workers without a chunk.
+        for hosts in [0, 1, 15, 16, 17, 23] {
+            let (serial, out) = quick(hosts, 1);
+            let summary = out.summary.render();
+            assert_eq!(serial.iter().filter(|&&b| b == b'\n').count(), hosts);
+            for workers in [2, 3, 7] {
+                let (bytes, out) = quick(hosts, workers);
+                assert!(
+                    bytes == serial,
+                    "JSONL differs: {hosts} hosts, {workers} workers"
+                );
+                assert_eq!(
+                    out.summary.render(),
+                    summary,
+                    "{hosts} hosts, {workers} workers"
+                );
+            }
+            let mut stitched = Vec::new();
+            for k in 1..=3 {
+                let cfg = CampaignConfig {
+                    shard: Some((k, 3)),
+                    ..quick_cfg(hosts, 2)
+                };
+                run_campaign(&cfg, Some(&mut stitched)).expect("in-memory sink");
+            }
+            assert!(stitched == serial, "shards differ: {hosts} hosts");
+        }
     }
 
     #[test]
@@ -472,7 +461,7 @@ mod tests {
             }
         }
         let cfg = CampaignConfig {
-            hosts: 64,
+            hosts: 128,
             workers: 2,
             seed: 4,
             samples: 3,
@@ -480,10 +469,30 @@ mod tests {
             amenability_only: true,
             ..CampaignConfig::default()
         };
-        // 2 writes per host (line + newline): fail inside host 2's line.
-        let mut sink = FailAfter(5);
+        // One write per chunk: the first chunk lands, the second fails.
+        let mut sink = FailAfter(1);
         let err = run_campaign(&cfg, Some(&mut sink)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::WriteZero);
+
+        // The remaining hosts are not simulated: count the hosts the
+        // workers rendered before the failed write stopped them.
+        let simulated = AtomicUsize::new(0);
+        let mut sink = FailAfter(1);
+        let err = run_campaign_with(
+            &cfg,
+            |_, _: &mut ()| {
+                simulated.fetch_add(1, Ordering::Relaxed);
+            },
+            |()| sink.write(b"chunk").map(drop),
+        )
+        .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WriteZero);
+        let simulated = simulated.into_inner();
+        assert!(
+            simulated < cfg.hosts / 2,
+            "{simulated} of {} hosts simulated after the sink died",
+            cfg.hosts
+        );
     }
 
     #[test]
@@ -529,14 +538,10 @@ mod tests {
             shard: Some((2, 3)),
             ..CampaignConfig::default()
         };
-        let out = run_campaign(&cfg, None::<&mut Vec<u8>>).expect("no sink");
+        let (all, out) = reports(&cfg);
         let (lo, hi) = shard_bounds(10, 2, 3);
-        assert_eq!(out.reports.len(), hi - lo);
-        assert!(out
-            .reports
-            .iter()
-            .enumerate()
-            .all(|(k, r)| r.id == (lo + k) as u64));
+        assert_eq!(all.len(), hi - lo);
+        assert!(all.iter().enumerate().all(|(k, r)| r.id == (lo + k) as u64));
         assert_eq!(out.summary.hosts, (hi - lo) as u64);
     }
 
@@ -574,20 +579,23 @@ mod tests {
     #[test]
     fn telemetry_counters_are_worker_count_invariant() {
         // The mergeable-monoid contract end to end: however hosts are
-        // partitioned across workers (and whichever consumption path
-        // runs), the merged counters are identical.
-        let run = |workers: usize, keep_reports: bool| {
+        // partitioned across workers (and whether or not a sink is
+        // attached), the merged counters are identical.
+        let run = |workers: usize, sink: bool| {
             let cfg = CampaignConfig {
                 hosts: 12,
                 workers,
                 seed: 5,
                 samples: 4,
                 baseline: false,
-                keep_reports,
                 telemetry: TelemetryMode::Summary,
                 ..CampaignConfig::default()
             };
-            run_campaign(&cfg, None::<&mut Vec<u8>>).expect("no sink")
+            if sink {
+                run_campaign(&cfg, Some(&mut Vec::new())).expect("in-memory sink")
+            } else {
+                run_campaign(&cfg, None::<&mut Vec<u8>>).expect("no sink")
+            }
         };
         let baseline = run(1, true);
         let merged = baseline.telemetry.merged();
@@ -596,8 +604,8 @@ mod tests {
         assert_eq!(merged.counter("sched.tasks"), 12);
         assert!(merged.counter("pool.hits") > 0, "pooled run must recycle");
         for workers in [2, 4] {
-            for keep_reports in [true, false] {
-                let out = run(workers, keep_reports);
+            for sink in [true, false] {
+                let out = run(workers, sink);
                 let m = out.telemetry.merged();
                 for key in [
                     "netsim.events",
@@ -616,7 +624,7 @@ mod tests {
                     assert_eq!(
                         m.counter(key),
                         merged.counter(key),
-                        "{key} must be partition-invariant (workers={workers}, keep={keep_reports})"
+                        "{key} must be partition-invariant (workers={workers}, sink={sink})"
                     );
                 }
                 assert_eq!(
@@ -647,8 +655,8 @@ mod tests {
 
     #[test]
     fn summary_matches_reports() {
-        let (_, out) = quick(10, 2);
-        let reachable = out.reports.iter().filter(|r| r.reachable).count() as u64;
+        let (all, out) = reports(&quick_cfg(10, 2));
+        let reachable = all.iter().filter(|r| r.reachable).count() as u64;
         assert_eq!(out.summary.reachable, reachable);
         let techniques: u64 = out.summary.by_technique.values().map(|g| g.hosts).sum();
         assert_eq!(techniques, 10);

@@ -12,10 +12,11 @@
 //!    multipath, wireless ARQ, load balancing). Every host is derived
 //!    independently from the master seed, so generation is
 //!    embarrassingly parallel and shard-count-independent.
-//! 2. [`scheduler`] — a work-stealing `std::thread` pool. Each host
-//!    simulation stays single-threaded-deterministic; parallelism is
-//!    *across* hosts, and idle workers steal from busy shards so slow
-//!    scenarios (load-balanced paths, big transfers) don't straggle.
+//! 2. [`scheduler`] — a work-stealing `std::thread` pool over contiguous
+//!    chunks of host ids. Each host simulation stays
+//!    single-threaded-deterministic; parallelism is *across* hosts, and
+//!    idle workers steal chunks from busy ones so slow scenarios
+//!    (load-balanced paths, big transfers) don't straggle.
 //! 3. [`pipeline`] — the paper's live-host protocol per host, driven
 //!    through `reorder_core`'s unified [`Technique`](reorder_core::Technique)
 //!    registry: IPID validation first, Dual Connection Test where
@@ -39,12 +40,12 @@
 //! derived per host id (not per worker), and every piece of summary
 //! state merges exactly (commutative monoids all the way down), so
 //! per-worker [`ShardAggregator`]s fold results in completion order
-//! and still merge to the same bytes. The id-order reorder buffer is
-//! only instantiated when an ordered sink (JSONL, per-host tables)
-//! actually needs ordered lines.
+//! and still merge to the same bytes. Per-host output is rendered on
+//! the workers into contiguous id chunks, which reach the sink in
+//! chunk order.
 //!
 //! ```
-//! use reorder_survey::{CampaignConfig, run_campaign};
+//! use reorder_survey::{run_campaign_with, CampaignConfig, HostReport};
 //!
 //! let cfg = CampaignConfig {
 //!     hosts: 8,
@@ -53,8 +54,14 @@
 //!     samples: 5,
 //!     ..CampaignConfig::default()
 //! };
-//! let out = run_campaign(&cfg, None::<&mut Vec<u8>>).unwrap();
-//! assert_eq!(out.reports.len(), 8);
+//! let mut reports = Vec::new();
+//! let out = run_campaign_with(
+//!     &cfg,
+//!     |r, chunk: &mut Vec<HostReport>| chunk.push(r),
+//!     |chunk| Ok(reports.extend(chunk)),
+//! )
+//! .unwrap();
+//! assert_eq!(reports.len(), 8);
 //! assert_eq!(out.summary.hosts, 8);
 //! ```
 
@@ -71,7 +78,7 @@ pub mod scheduler;
 pub mod state;
 
 pub use aggregate::{CampaignSummary, FailureAgg, RateHistogram, ShardAggregator};
-pub use engine::{run_campaign, shard_bounds, CampaignConfig, CampaignOutcome};
+pub use engine::{run_campaign, run_campaign_with, shard_bounds, CampaignConfig, CampaignOutcome};
 pub use metrics::{CampaignTelemetry, METRICS_SCHEMA};
 pub use pipeline::{HostJob, HostOutcome, HostReport, TechniqueChoice};
 pub use population::PopulationModel;

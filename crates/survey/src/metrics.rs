@@ -28,8 +28,7 @@ pub struct CampaignTelemetry {
     /// Per-worker telemetry, in worker-index order.
     pub per_worker: Vec<WorkerTelemetry>,
     /// Engine/collector-side telemetry that belongs to no single
-    /// worker (e.g. the ordered path's `agg.absorbs`, the final
-    /// shard-merge's `agg.merges`). Folded into
+    /// worker (e.g. the final shard-merge's `agg.merges`). Folded into
     /// [`CampaignTelemetry::merged`].
     pub campaign: WorkerTelemetry,
 }

@@ -1,40 +1,33 @@
-//! Layer 2: the sharded, work-stealing scheduler.
+//! Layer 2: the chunked, work-stealing scheduler — the workspace's one
+//! worker pool.
 //!
-//! Hosts are dealt round-robin across one shard (a deque) per worker.
-//! Each worker drains its own shard from the front; when empty it
-//! steals from the *back* of the other shards, so a shard that drew
-//! several slow scenarios (wide load balancers, long transfers) is
-//! relieved by idle workers instead of straggling the campaign.
+//! [`run_chunked`] cuts job ids `0..jobs` into contiguous chunks (at
+//! most 16 ids, at least four chunks per worker) and deals the chunks
+//! round-robin across one deque per worker. Each worker drains its own deque from the front; when it
+//! is empty it steals from the *back* of the other deques, so a worker
+//! that drew several slow scenarios (wide load balancers, long
+//! transfers) is relieved by idle workers instead of straggling the
+//! run.
 //!
-//! Simulations are single-threaded and `!Send`, so the job closure
-//! receives only the host *index* and builds everything it needs
-//! locally — the same discipline as `reorder_bench::parallel_map`, plus
-//! stealing and streaming consumption.
+//! Simulations are single-threaded and `!Send`, so a worker receives
+//! only job *ids* and builds everything it needs locally. It folds every
+//! result into its own state and renders whatever must come out in
+//! order into the payload of the chunk it is working on. The calling
+//! thread hands finished payloads to the consumer in chunk order through
+//! a reorder buffer over chunks (not jobs), so ordered output costs one
+//! hand-off per chunk and order-independent state never leaves the
+//! worker until the run ends.
 //!
-//! Two consumption modes:
-//!
-//! * [`run_sharded`] feeds results to a single consumer **in job-index
-//!   order** regardless of completion order, via a reorder buffer on
-//!   the collecting thread — required when an ordered sink (JSONL,
-//!   per-host tables) is attached.
-//! * [`run_folded`] keeps results on the worker that produced them:
-//!   each worker folds its results into a local state and the states
-//!   come back in worker-index order, with no channel, no reorder
-//!   buffer, and no single consuming thread. This is the funnel-free
-//!   path for summary-only campaigns — correct only when the fold is
-//!   order-independent (the aggregation layer's commutative-monoid
-//!   contract).
-//!
-//! Both modes report per-worker counters ([`WorkerStats`]: tasks,
-//! steal attempts/successes, busy vs idle nanoseconds) and accept a
+//! Every run reports per-worker counters ([`WorkerStats`]: tasks,
+//! steal attempts/successes, busy vs idle nanoseconds) and accepts a
 //! [`RunProbe`] — the live observation surface a progress heartbeat
 //! reads while the run is in flight. Timing is opt-in via the probe:
 //! an untimed run never reads a clock in the worker loop.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{mpsc, Mutex, PoisonError};
 use std::thread;
 use std::time::Instant;
 
@@ -43,18 +36,18 @@ use std::time::Instant;
 /// the telemetry layer's mergeable-monoid contract.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkerStats {
-    /// Jobs this worker executed (own shard + stolen).
+    /// Jobs this worker executed (own chunks + stolen).
     pub tasks: u64,
-    /// Steal probes: locked peeks at another worker's shard, whether
-    /// or not a job came back.
+    /// Steal probes: locked peeks at another worker's deque, whether
+    /// or not a chunk came back.
     pub steal_attempts: u64,
-    /// Jobs executed after being stolen from another worker's shard.
+    /// Jobs executed from chunks stolen off another worker's deque.
     pub steals: u64,
     /// Nanoseconds spent executing jobs (zero when the run's
     /// [`RunProbe`] was untimed).
     pub busy_ns: u64,
     /// Wall nanoseconds minus busy nanoseconds: lock waits, steal
-    /// probes and channel sends (zero when untimed).
+    /// probes and chunk hand-offs (zero when untimed).
     pub idle_ns: u64,
     /// Worker-thread wall nanoseconds, spawn to exit (zero when
     /// untimed).
@@ -66,11 +59,11 @@ pub struct WorkerStats {
 pub struct PoolStats {
     /// Worker threads used.
     pub workers: usize,
-    /// Jobs executed after being stolen from another worker's shard
+    /// Jobs executed after being stolen from another worker's deque
     /// (the sum of [`WorkerStats::steals`]).
     pub steals: u64,
-    /// True when `consume` broke the run off early; trailing jobs were
-    /// skipped or discarded.
+    /// True when the consumer broke the run off early; trailing jobs
+    /// were skipped or discarded.
     pub aborted: bool,
     /// Per-worker counters, in worker-index order.
     pub per_worker: Vec<WorkerStats>,
@@ -144,277 +137,165 @@ pub fn resolve_workers(requested: usize) -> usize {
     }
 }
 
-/// Pop the next job index for worker `w`: own shard first (front),
-/// then steal from the other shards (back), counting probes and
-/// successes into `st`.
-fn next_job(
+/// Jobs per chunk for `jobs` jobs on `workers` (resolved) workers: at
+/// least four chunks per worker so stealing still balances the tail,
+/// and at most 16 jobs so a run's last chunk is short next to the run.
+fn chunk_len(jobs: usize, workers: usize) -> usize {
+    (jobs / (4 * workers.max(1))).clamp(1, 16)
+}
+
+/// Pop the next chunk for worker `w`: own deque first (front), then
+/// steal from the other deques (back), counting probes into `st`.
+/// Returns the chunk index and whether it was stolen.
+fn next_chunk(
     w: usize,
-    workers: usize,
-    shards: &[Mutex<VecDeque<usize>>],
+    deques: &[Mutex<VecDeque<usize>>],
     st: &mut WorkerStats,
-) -> Option<usize> {
-    if let Some(i) = shards[w].lock().expect("shard poisoned").pop_front() {
-        return Some(i);
+) -> Option<(usize, bool)> {
+    let pop = |v: usize, front: bool| {
+        let mut q = deques[v].lock().unwrap_or_else(PoisonError::into_inner);
+        if front {
+            q.pop_front()
+        } else {
+            q.pop_back()
+        }
+    };
+    if let Some(c) = pop(w, true) {
+        return Some((c, false));
     }
-    for v in 1..workers {
-        let victim = (w + v) % workers;
+    for v in 1..deques.len() {
         st.steal_attempts += 1;
-        let got = shards[victim].lock().expect("shard poisoned").pop_back();
-        if got.is_some() {
-            st.steals += 1;
-            return got;
+        if let Some(c) = pop((w + v) % deques.len(), false) {
+            return Some((c, true));
         }
     }
     None
 }
 
-/// Deal job indices round-robin: shard w holds indices ≡ w (mod workers).
-fn deal_shards(jobs: usize, workers: usize) -> Vec<Mutex<VecDeque<usize>>> {
-    let mut deques: Vec<VecDeque<usize>> = vec![VecDeque::new(); workers];
-    for i in 0..jobs {
-        deques[i % workers].push_back(i);
-    }
-    deques.into_iter().map(Mutex::new).collect()
-}
-
-fn collect_stats(workers: usize, aborted: bool, wstats: Vec<Mutex<WorkerStats>>) -> PoolStats {
-    let per_worker: Vec<WorkerStats> = wstats
-        .into_iter()
-        .map(|m| m.into_inner().expect("stats poisoned"))
-        .collect();
-    PoolStats {
-        workers,
-        steals: per_worker.iter().map(|s| s.steals).sum(),
-        aborted,
-        per_worker,
-    }
-}
-
-/// Run `jobs` indices through per-worker job closures on `workers`
-/// threads and feed every result to `consume` **in index order** —
-/// see [`run_sharded_probed`] for the full contract. This convenience
-/// form attaches a [`RunProbe::disabled`].
-pub fn run_sharded<R, F, J, C>(jobs: usize, workers: usize, mk_worker: F, consume: C) -> PoolStats
-where
-    R: Send,
-    F: Fn(usize) -> J + Sync,
-    J: FnMut(usize) -> R,
-    C: FnMut(usize, R) -> ControlFlow<()>,
-{
-    run_sharded_probed(jobs, workers, mk_worker, consume, &RunProbe::disabled())
-}
-
-/// Run `jobs` indices through per-worker job closures on `workers`
-/// threads and feed every result to `consume` **in index order**.
+/// Run jobs `0..jobs` on `workers` threads (0 = all cores): fold every
+/// job into a worker-local state, and hand per-chunk payloads to `emit`
+/// **in chunk order**.
 ///
 /// `mk_worker` runs once on each worker thread — receiving the worker
-/// index — and returns that worker's job closure — the hook for
-/// per-worker mutable state such as a recycled
-/// [`reorder_core::scenario::ScenarioPool`] (simulations are `!Send`,
-/// so worker-local state must be born on the worker). The closure must
-/// stay a pure function of the index — state may only affect *how
-/// fast* a result is produced, never *what* it is — or the
-/// order-independence guarantee means nothing; the campaign
-/// determinism suite asserts this by comparing pooled, fresh, sharded
-/// and differently-parallel runs byte for byte.
+/// index — and returns `(local, state)`: `local` is scratch that never
+/// leaves the thread (e.g. a `!Send` simulator pool), `state` the fold
+/// accumulator handed back at the end, in worker-index order. `step`
+/// executes job `i`, folding into `state` and appending to the payload
+/// of `i`'s chunk. Chunks hold contiguous ids and arrive at `emit` in
+/// id order, so concatenating the payloads gives the same result as a
+/// serial run whatever the worker count — provided `step` is a pure
+/// function of `i` (worker-local state may only change *how fast* a
+/// result comes, never *what* it is). Work stealing makes the
+/// job→worker assignment nondeterministic, so deterministic `state`
+/// totals need an order-independent (commutative, associative) fold —
+/// the aggregation layer's contract.
 ///
-/// `consume` may return [`ControlFlow::Break`] to abort the campaign
-/// early (e.g. a failed sink): queued shards are drained, the workers
-/// stop, and remaining results are discarded. `probe` is the live
-/// observation surface (see [`RunProbe`]). Returns pool counters,
-/// including per-worker [`WorkerStats`].
-pub fn run_sharded_probed<R, F, J, C>(
+/// `emit` may return [`ControlFlow::Break`] to abort the run (e.g. a
+/// failed sink): workers stop before their next job, later payloads
+/// are discarded, and [`PoolStats::aborted`] is set. `probe` is the
+/// live observation surface (see [`RunProbe`]). A worker panic is
+/// re-raised on the calling thread.
+pub fn run_chunked<L, S, P, F, G, E>(
     jobs: usize,
     workers: usize,
     mk_worker: F,
-    mut consume: C,
+    step: G,
+    mut emit: E,
     probe: &RunProbe,
-) -> PoolStats
+) -> (Vec<S>, PoolStats)
 where
-    R: Send,
-    F: Fn(usize) -> J + Sync,
-    J: FnMut(usize) -> R,
-    C: FnMut(usize, R) -> ControlFlow<()>,
+    S: Send,
+    P: Default + Send,
+    F: Fn(usize) -> (L, S) + Sync,
+    G: Fn(&mut L, &mut S, &mut P, usize) + Sync,
+    E: FnMut(P) -> ControlFlow<()>,
 {
-    let workers = resolve_workers(workers).min(jobs.max(1));
-    let shards = deal_shards(jobs, workers);
-    let wstats: Vec<Mutex<WorkerStats>> = (0..workers)
-        .map(|_| Mutex::new(WorkerStats::default()))
-        .collect();
-    let (tx, rx) = mpsc::channel::<(usize, R)>();
+    let workers = resolve_workers(workers);
+    let len = chunk_len(jobs, workers);
+    let chunks = jobs.div_ceil(len);
+    let workers = workers.min(chunks.max(1));
+    let mut dealt: Vec<VecDeque<usize>> = vec![VecDeque::new(); workers];
+    for c in 0..chunks {
+        dealt[c % workers].push_back(c);
+    }
+    let deques: Vec<Mutex<VecDeque<usize>>> = dealt.into_iter().map(Mutex::new).collect();
+    let stop = AtomicBool::new(false);
+    let (tx, rx) = mpsc::channel::<(usize, P)>();
 
-    let aborted = thread::scope(|s| {
-        for w in 0..workers {
-            let tx = tx.clone();
-            let shards = &shards;
-            let wstats = &wstats;
-            let mk_worker = &mk_worker;
-            s.spawn(move || {
-                let mut job = mk_worker(w);
-                let mut st = WorkerStats::default();
-                // reorder-lint: allow(wall-clock, worker busy/idle accounting; scheduler telemetry never feeds report bytes)
-                let born = probe.timed().then(Instant::now);
-                while let Some(i) = next_job(w, workers, shards, &mut st) {
-                    let r = if born.is_some() {
-                        // reorder-lint: allow(wall-clock, per-task busy-time sample; telemetry-only)
-                        let t = Instant::now();
-                        let r = job(i);
-                        st.busy_ns += t.elapsed().as_nanos() as u64;
-                        probe.publish_busy(w, st.busy_ns);
-                        r
-                    } else {
-                        job(i)
-                    };
-                    st.tasks += 1;
-                    probe.done.fetch_add(1, Ordering::Relaxed);
-                    if tx.send((i, r)).is_err() {
-                        break;
+    thread::scope(|s| {
+        let handles: Vec<_> = (0..workers)
+            .map(|w| {
+                let tx = tx.clone();
+                let (deques, stop, mk_worker, step) = (&deques, &stop, &mk_worker, &step);
+                s.spawn(move || {
+                    let (mut local, mut state) = mk_worker(w);
+                    let mut st = WorkerStats::default();
+                    // reorder-lint: allow(wall-clock, worker busy/idle accounting; scheduler telemetry never feeds report bytes)
+                    let born = probe.timed().then(Instant::now);
+                    'run: while let Some((c, stolen)) = next_chunk(w, deques, &mut st) {
+                        let mut payload = P::default();
+                        for i in c * len..jobs.min((c + 1) * len) {
+                            if stop.load(Ordering::Relaxed) {
+                                break 'run;
+                            }
+                            if born.is_some() {
+                                // reorder-lint: allow(wall-clock, per-task busy-time sample; telemetry-only)
+                                let t = Instant::now();
+                                step(&mut local, &mut state, &mut payload, i);
+                                st.busy_ns += t.elapsed().as_nanos() as u64;
+                                probe.publish_busy(w, st.busy_ns);
+                            } else {
+                                step(&mut local, &mut state, &mut payload, i);
+                            }
+                            st.tasks += 1;
+                            st.steals += u64::from(stolen);
+                            probe.done.fetch_add(1, Ordering::Relaxed);
+                        }
+                        if tx.send((c, payload)).is_err() {
+                            break;
+                        }
                     }
-                }
-                if let Some(t0) = born {
-                    st.wall_ns = t0.elapsed().as_nanos() as u64;
-                    st.idle_ns = st.wall_ns.saturating_sub(st.busy_ns);
-                }
-                *wstats[w].lock().expect("stats poisoned") = st;
-            });
-        }
+                    if let Some(t0) = born {
+                        st.wall_ns = t0.elapsed().as_nanos() as u64;
+                        st.idle_ns = st.wall_ns.saturating_sub(st.busy_ns);
+                    }
+                    (state, st)
+                })
+            })
+            .collect();
         drop(tx);
 
-        // Streaming, order-restoring consumption: results arrive in
-        // completion order; release them to `consume` in index order.
-        // The pending buffer is bounded by the in-flight disorder
-        // window — O(jobs) worst case, O(workers) typical.
-        let mut pending: BTreeMap<usize, R> = BTreeMap::new();
+        // Payloads arrive in completion order; release them in chunk
+        // order. The buffer holds at most the chunks finished ahead of
+        // the oldest one still running.
+        let mut pending: BTreeMap<usize, P> = BTreeMap::new();
         let mut next = 0usize;
         let mut aborted = false;
-        'recv: for (i, r) in &rx {
-            pending.insert(i, r);
-            while let Some(r) = pending.remove(&next) {
-                let flow = consume(next, r);
+        'recv: for (c, payload) in &rx {
+            pending.insert(c, payload);
+            while let Some(p) = pending.remove(&next) {
                 next += 1;
-                if flow.is_break() {
+                if emit(p).is_break() {
                     aborted = true;
+                    stop.store(true, Ordering::Relaxed);
                     break 'recv;
                 }
             }
         }
-        if aborted {
-            // Stop the workers promptly: drain the queued shards (so
-            // nothing further is popped) and close the channel (so
-            // in-flight sends fail and the workers exit).
-            for shard in &shards {
-                shard.lock().expect("shard poisoned").clear();
-            }
-            drop(rx);
-        } else {
-            assert!(pending.is_empty(), "worker died mid-campaign");
-            assert_eq!(next, jobs, "missing results");
-        }
-        aborted
-    });
+        drop(rx);
 
-    collect_stats(workers, aborted, wstats)
-}
-
-/// Run `jobs` indices on `workers` threads, folding each result into a
-/// **worker-local** state — see [`run_folded_probed`] for the full
-/// contract. This convenience form attaches a [`RunProbe::disabled`].
-pub fn run_folded<L, S, F, G>(
-    jobs: usize,
-    workers: usize,
-    mk_worker: F,
-    step: G,
-) -> (Vec<S>, PoolStats)
-where
-    S: Send,
-    F: Fn(usize) -> (L, S) + Sync,
-    G: Fn(&mut L, &mut S, usize) + Sync,
-{
-    run_folded_probed(jobs, workers, mk_worker, step, &RunProbe::disabled())
-}
-
-/// Run `jobs` indices on `workers` threads, folding each result into a
-/// **worker-local** state — the funnel-free alternative to
-/// [`run_sharded_probed`] for consumers that don't need ordered
-/// results.
-///
-/// `mk_worker` runs once on each worker thread — receiving the worker
-/// index — and returns `(local, state)`: `local` is worker-local
-/// scratch that never leaves the thread (e.g. a `!Send` simulator
-/// pool), `state` is the fold accumulator handed back at the end.
-/// `step` executes job `i`, folding its result into `state`. States
-/// are returned in worker-index order, and `probe` is the live
-/// observation surface (see [`RunProbe`]).
-///
-/// Work stealing makes the job→worker assignment nondeterministic, so
-/// a caller needing deterministic totals must fold with an
-/// order-independent (commutative, associative) operation —
-/// `reorder-survey`'s aggregation layer is built on exactly that
-/// contract, and the campaign determinism suite asserts it against
-/// the ordered path byte for byte.
-pub fn run_folded_probed<L, S, F, G>(
-    jobs: usize,
-    workers: usize,
-    mk_worker: F,
-    step: G,
-    probe: &RunProbe,
-) -> (Vec<S>, PoolStats)
-where
-    S: Send,
-    F: Fn(usize) -> (L, S) + Sync,
-    G: Fn(&mut L, &mut S, usize) + Sync,
-{
-    let workers = resolve_workers(workers).min(jobs.max(1));
-    let shards = deal_shards(jobs, workers);
-    let wstats: Vec<Mutex<WorkerStats>> = (0..workers)
-        .map(|_| Mutex::new(WorkerStats::default()))
-        .collect();
-    let states: Vec<Mutex<Option<S>>> = (0..workers).map(|_| Mutex::new(None)).collect();
-
-    thread::scope(|s| {
-        for w in 0..workers {
-            let shards = &shards;
-            let wstats = &wstats;
-            let states = &states;
-            let mk_worker = &mk_worker;
-            let step = &step;
-            s.spawn(move || {
-                let (mut local, mut state) = mk_worker(w);
-                let mut st = WorkerStats::default();
-                // reorder-lint: allow(wall-clock, worker busy/idle accounting; scheduler telemetry never feeds report bytes)
-                let born = probe.timed().then(Instant::now);
-                while let Some(i) = next_job(w, workers, shards, &mut st) {
-                    if born.is_some() {
-                        // reorder-lint: allow(wall-clock, per-task busy-time sample; telemetry-only)
-                        let t = Instant::now();
-                        step(&mut local, &mut state, i);
-                        st.busy_ns += t.elapsed().as_nanos() as u64;
-                        probe.publish_busy(w, st.busy_ns);
-                    } else {
-                        step(&mut local, &mut state, i);
-                    }
-                    st.tasks += 1;
-                    probe.done.fetch_add(1, Ordering::Relaxed);
-                }
-                if let Some(t0) = born {
-                    st.wall_ns = t0.elapsed().as_nanos() as u64;
-                    st.idle_ns = st.wall_ns.saturating_sub(st.busy_ns);
-                }
-                *wstats[w].lock().expect("stats poisoned") = st;
-                *states[w].lock().expect("state poisoned") = Some(state);
-            });
-        }
-    });
-
-    let states = states
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("state poisoned")
-                .expect("worker died before folding its state")
-        })
-        .collect();
-    (states, collect_stats(workers, false, wstats))
+        let (states, per_worker): (Vec<S>, Vec<WorkerStats>) = handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .unzip();
+        let stats = PoolStats {
+            workers,
+            steals: per_worker.iter().map(|s| s.steals).sum(),
+            aborted,
+            per_worker,
+        };
+        (states, stats)
+    })
 }
 
 #[cfg(test)]
@@ -422,88 +303,126 @@ mod tests {
     use super::*;
     use std::time::Duration;
 
+    /// Run jobs whose result is `f(i)`, collecting the emitted
+    /// payloads in emit order.
+    fn ordered(jobs: usize, workers: usize, f: fn(usize) -> usize) -> (Vec<usize>, PoolStats) {
+        let mut seen = Vec::new();
+        let (_, stats) = run_chunked(
+            jobs,
+            workers,
+            |_| ((), ()),
+            |_, _, out: &mut Vec<usize>, i| out.push(f(i)),
+            |chunk| {
+                seen.extend(chunk);
+                ControlFlow::Continue(())
+            },
+            &RunProbe::disabled(),
+        );
+        (seen, stats)
+    }
+
+    /// Run jobs folded into per-worker states, with empty payloads.
+    fn folded<S: Send>(
+        jobs: usize,
+        workers: usize,
+        init: fn() -> S,
+        step: fn(&mut S, usize),
+    ) -> (Vec<S>, PoolStats) {
+        run_chunked(
+            jobs,
+            workers,
+            |_| ((), init()),
+            |_, state, _: &mut (), i| step(state, i),
+            |()| ControlFlow::Continue(()),
+            &RunProbe::disabled(),
+        )
+    }
+
     #[test]
     fn consumes_every_job_in_order() {
-        for workers in [1, 2, 4, 7] {
-            let mut seen = Vec::new();
-            let stats = run_sharded(
-                100,
-                workers,
-                |_| |i| i * 3,
-                |i, r| {
-                    seen.push((i, r));
-                    ControlFlow::Continue(())
-                },
-            );
-            assert_eq!(seen.len(), 100);
-            assert!(seen
-                .iter()
-                .enumerate()
-                .all(|(k, &(i, r))| k == i && r == i * 3));
-            assert!(stats.workers <= workers.max(1));
-            assert!(!stats.aborted);
+        for jobs in [0, 1, 15, 16, 17, 100, 1009] {
+            for workers in [1, 2, 3, 7] {
+                let (seen, stats) = ordered(jobs, workers, |i| i * 3);
+                assert_eq!(seen, (0..jobs).map(|i| i * 3).collect::<Vec<_>>());
+                assert!(stats.workers >= 1 && stats.workers <= workers);
+                assert!(!stats.aborted);
+            }
+        }
+    }
+
+    #[test]
+    fn chunks_cover_the_ids_and_feed_every_worker() {
+        for jobs in [1usize, 7, 64, 1000, 100_000] {
+            for workers in [1usize, 2, 8] {
+                let len = chunk_len(jobs, workers);
+                assert!((1..=16).contains(&len));
+                assert!(jobs.div_ceil(len) >= workers.min(jobs), "{jobs}/{workers}");
+            }
         }
     }
 
     #[test]
     fn zero_jobs_is_fine() {
-        let stats = run_sharded(0, 4, |_| |i| i, |_, _: usize| panic!("no jobs to consume"));
-        assert_eq!(stats.steals, 0);
+        let (seen, stats) = ordered(0, 4, |_| unreachable!("no jobs"));
+        assert!(seen.is_empty());
+        assert_eq!((stats.workers, stats.steals), (1, 0));
     }
 
     #[test]
     fn workers_cap_at_job_count() {
-        let stats = run_sharded(2, 16, |_| |i| i, |_, _| ControlFlow::Continue(()));
+        let (_, stats) = ordered(2, 16, |i| i);
         assert_eq!(stats.workers, 2);
     }
 
     #[test]
     fn stealing_relieves_a_straggling_shard() {
-        // With round-robin dealing over 2 workers, shard 0 gets all the
-        // slow jobs (even indices). Worker 1 must steal some of them.
-        let stats = run_sharded(
-            40,
+        // Two workers, chunks dealt round-robin: every chunk on worker
+        // 0's deque is slow, so worker 1 must steal some of them.
+        let len = chunk_len(80, 2);
+        let (_, stats) = run_chunked(
+            80,
             2,
-            |_| {
-                |i| {
-                    if i % 2 == 0 {
-                        std::thread::sleep(Duration::from_millis(2));
-                    }
-                    i
+            |_| ((), ()),
+            |_, _, _: &mut (), i| {
+                if (i / len).is_multiple_of(2) {
+                    std::thread::sleep(Duration::from_millis(2));
                 }
             },
-            |_, _| ControlFlow::Continue(()),
+            |()| ControlFlow::Continue(()),
+            &RunProbe::disabled(),
         );
-        if stats.workers == 2 {
-            assert!(stats.steals > 0, "expected steals, got {stats:?}");
-        }
+        assert!(stats.steals > 0, "expected steals, got {stats:?}");
+        assert_eq!(
+            stats.steals % len as u64,
+            0,
+            "steals count whole chunks' jobs"
+        );
     }
 
     #[test]
     fn break_aborts_promptly() {
-        // Break on the third result: the pool must stop without
-        // consuming the rest, and report the abort.
-        let mut consumed = 0usize;
-        let stats = run_sharded(
-            500,
+        // Break on the second chunk: the pool must stop without
+        // running the rest, and report the abort.
+        let mut emitted = 0usize;
+        let (_, stats) = run_chunked(
+            2000,
             4,
-            |_| {
-                |i| {
-                    std::thread::sleep(Duration::from_micros(200));
-                    i
-                }
-            },
-            |_, _| {
-                consumed += 1;
-                if consumed == 3 {
+            |_| ((), ()),
+            |_, _, _: &mut (), _| std::thread::sleep(Duration::from_micros(200)),
+            |()| {
+                emitted += 1;
+                if emitted == 2 {
                     ControlFlow::Break(())
                 } else {
                     ControlFlow::Continue(())
                 }
             },
+            &RunProbe::disabled(),
         );
         assert!(stats.aborted);
-        assert_eq!(consumed, 3);
+        assert_eq!(emitted, 2);
+        let tasks: u64 = stats.per_worker.iter().map(|s| s.tasks).sum();
+        assert!(tasks < 1000, "aborted run kept simulating: {tasks} jobs");
     }
 
     #[test]
@@ -515,7 +434,14 @@ mod tests {
     #[test]
     fn per_worker_stats_account_for_every_job() {
         let probe = RunProbe::new(true, 3);
-        let stats = run_sharded_probed(60, 3, |_| |i| i, |_, _| ControlFlow::Continue(()), &probe);
+        let (_, stats) = run_chunked(
+            60,
+            3,
+            |_| ((), ()),
+            |_, _, _: &mut (), _| {},
+            |()| ControlFlow::Continue(()),
+            &probe,
+        );
         assert_eq!(stats.per_worker.len(), stats.workers);
         let tasks: u64 = stats.per_worker.iter().map(|s| s.tasks).sum();
         assert_eq!(tasks, 60, "every job attributed to exactly one worker");
@@ -530,10 +456,9 @@ mod tests {
 
     #[test]
     fn untimed_probe_reports_zero_ns() {
-        let stats = run_sharded(20, 2, |_| |i| i, |_, _| ControlFlow::Continue(()));
+        let (_, stats) = ordered(20, 2, |i| i);
         for st in &stats.per_worker {
-            assert_eq!(st.busy_ns, 0);
-            assert_eq!(st.wall_ns, 0);
+            assert_eq!((st.busy_ns, st.wall_ns), (0, 0));
         }
         // Task and steal counters are always on.
         assert_eq!(stats.per_worker.iter().map(|s| s.tasks).sum::<u64>(), 20);
@@ -541,43 +466,32 @@ mod tests {
 
     #[test]
     fn mk_worker_receives_distinct_indices() {
-        let seen: Vec<Mutex<u64>> = (0..4).map(|_| Mutex::new(0)).collect();
-        let seen_ref = &seen;
-        run_sharded(
+        let (states, _) = run_chunked(
             40,
             4,
-            move |w| {
-                *seen_ref[w].lock().unwrap() += 1;
-                |i| i
-            },
-            |_, _| ControlFlow::Continue(()),
+            |w| ((), w),
+            |_, _, _: &mut (), _| {},
+            |()| ControlFlow::Continue(()),
+            &RunProbe::disabled(),
         );
-        let counts: Vec<u64> = seen.iter().map(|m| *m.lock().unwrap()).collect();
-        assert!(counts.iter().all(|&c| c <= 1), "index reuse: {counts:?}");
+        assert_eq!(states, (0..states.len()).collect::<Vec<_>>());
     }
 
     #[test]
     fn folded_covers_every_job_exactly_once() {
         for workers in [1, 2, 4, 7] {
-            let (states, stats) = run_folded(
-                100,
-                workers,
-                |_| ((), Vec::new()),
-                |_, seen: &mut Vec<usize>, i| seen.push(i),
-            );
+            let (states, stats) = folded(100, workers, Vec::new, |seen, i| seen.push(i));
             assert_eq!(states.len(), stats.workers);
             let mut all: Vec<usize> = states.into_iter().flatten().collect();
             all.sort_unstable();
             assert_eq!(all, (0..100).collect::<Vec<_>>());
-            assert!(!stats.aborted);
         }
     }
 
     #[test]
     fn folded_zero_jobs_returns_initial_states() {
-        let (states, stats) = run_folded(0, 4, |_| ((), 7u64), |_, _, _| panic!("no jobs"));
+        let (states, _) = folded(0, 4, || 7u64, |_, _| unreachable!("no jobs"));
         assert_eq!(states, vec![7]);
-        assert_eq!(stats.steals, 0);
     }
 
     #[test]
@@ -586,41 +500,20 @@ mod tests {
         // across worker counts — the aggregation contract in miniature.
         let serial: u64 = (0..500u64).map(|i| i * i).sum();
         for workers in [1, 3, 8] {
-            let (states, _) = run_folded(
-                500,
-                workers,
-                |_| ((), 0u64),
-                |_, acc, i| *acc += (i as u64) * (i as u64),
-            );
+            let (states, _) = folded(500, workers, || 0u64, |acc, i| *acc += (i * i) as u64);
             assert_eq!(states.into_iter().sum::<u64>(), serial);
-        }
-    }
-
-    #[test]
-    fn folded_steals_relieve_stragglers() {
-        let (_, stats) = run_folded(
-            40,
-            2,
-            |_| ((), ()),
-            |_, _, i| {
-                if i % 2 == 0 {
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-            },
-        );
-        if stats.workers == 2 {
-            assert!(stats.steals > 0, "expected steals, got {stats:?}");
         }
     }
 
     #[test]
     fn folded_timed_probe_publishes_busy_ns() {
         let probe = RunProbe::new(true, 2);
-        let (_, stats) = run_folded_probed(
+        let (_, stats) = run_chunked(
             10,
             2,
             |_| ((), ()),
-            |_, _, _| std::thread::sleep(Duration::from_micros(500)),
+            |_, _, _: &mut (), _| std::thread::sleep(Duration::from_micros(500)),
+            |()| ControlFlow::Continue(()),
             &probe,
         );
         let busy: u64 = stats.per_worker.iter().map(|s| s.busy_ns).sum();

@@ -119,12 +119,10 @@ impl ShardState {
 
 /// Run shard `k` of `n` of a campaign and return its portable state —
 /// the library entry point a campaign orchestrator (or a worker
-/// process) uses instead of the printing CLI path. `base.shard` and
-/// `base.keep_reports` are overridden: the shard slice comes from
-/// `(k, n)` and per-host reports are never retained (the state is the
-/// deliverable). When `jsonl` is given the shard's report lines stream
-/// to it in host-id order; shard outputs concatenated in shard order
-/// are byte-identical to the unsharded campaign.
+/// process) uses instead of the printing CLI path. `base.shard` is
+/// overridden by `(k, n)`. When `jsonl` is given the shard's report
+/// lines stream to it in host-id order; shard outputs concatenated in
+/// shard order are byte-identical to the unsharded campaign.
 pub fn run_shard<W: Write>(
     base: &CampaignConfig,
     k: usize,
@@ -133,7 +131,6 @@ pub fn run_shard<W: Write>(
 ) -> io::Result<ShardState> {
     let cfg = CampaignConfig {
         shard: Some((k, n)),
-        keep_reports: false,
         ..base.clone()
     };
     let out = run_campaign(&cfg, jsonl)?;

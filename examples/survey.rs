@@ -10,7 +10,7 @@
 //! cargo run --release --example survey -- [hosts] [workers]
 //! ```
 
-use reorder::survey::{run_campaign, CampaignConfig};
+use reorder::survey::{run_campaign_with, CampaignConfig, HostReport};
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -24,14 +24,23 @@ fn main() {
         samples: 15,
         ..CampaignConfig::default()
     };
-    let out = run_campaign(&cfg, None::<&mut Vec<u8>>).expect("no sink, no error");
+    let mut reports: Vec<HostReport> = Vec::new();
+    let out = run_campaign_with(
+        &cfg,
+        |r, chunk: &mut Vec<HostReport>| chunk.push(r),
+        |chunk| {
+            reports.extend(chunk);
+            Ok(())
+        },
+    )
+    .expect("infallible emit");
 
     println!(
         "{:<22} {:<12} {:<13} {:>9} {:>9} {:>9} {:>9}",
         "host", "personality", "verdict", "technique", "fwd", "rev", "baseline"
     );
     println!("{}", "-".repeat(91));
-    for r in &out.reports {
+    for r in &reports {
         let show = |e: reorder::core::metrics::ReorderEstimate| {
             if e.total == 0 {
                 format!("{:>9}", "-")

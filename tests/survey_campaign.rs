@@ -3,7 +3,24 @@
 //! every layer (population → scheduler → pipeline → aggregation).
 
 use reorder::core::techniques::{IpidVerdict, TestKind};
-use reorder::survey::{run_campaign, shard_bounds, CampaignConfig, TechniqueChoice};
+use reorder::survey::{
+    run_campaign_with, shard_bounds, CampaignConfig, CampaignOutcome, HostReport, TechniqueChoice,
+};
+
+/// Run a campaign, collecting every host's report in host-id order.
+fn run_with_reports(cfg: &CampaignConfig) -> (Vec<HostReport>, CampaignOutcome) {
+    let mut reports = Vec::new();
+    let out = run_campaign_with(
+        cfg,
+        |r, chunk: &mut Vec<HostReport>| chunk.push(r),
+        |chunk| {
+            reports.extend(chunk);
+            Ok(())
+        },
+    )
+    .expect("infallible emit");
+    (reports, out)
+}
 use reorder::tcpstack::IpidScheme;
 
 #[test]
@@ -16,14 +33,14 @@ fn campaign_verdicts_track_ground_truth() {
         baseline: false,
         ..CampaignConfig::default()
     };
-    let out = run_campaign(&cfg, None::<&mut Vec<u8>>).expect("no sink");
-    assert_eq!(out.reports.len(), 60);
+    let (reports, out) = run_with_reports(&cfg);
+    assert_eq!(reports.len(), 60);
     assert_eq!(out.summary.hosts, 60);
 
     // Ground truth drives the amenability verdict for the clear-cut
     // IPID schemes (unbalanced hosts, successful probes).
     let mut checked = 0;
-    for r in &out.reports {
+    for r in &reports {
         let Some(v) = r.verdict else { continue };
         if r.spec.backends > 1 {
             continue; // either verdict defensible (Fig. 3)
@@ -47,7 +64,7 @@ fn campaign_verdicts_track_ground_truth() {
 
     // Auto-selection: amenable hosts measured by dual, the rest by syn
     // (or nothing, if every round failed).
-    for r in &out.reports {
+    for r in &reports {
         match (r.verdict, r.technique) {
             (Some(IpidVerdict::Amenable), t) => assert!(t == "dual" || t == "syn" || t == "none"),
             (_, t) => assert!(t == "syn" || t == "none", "{}: {t}", r.spec.name),
@@ -55,8 +72,8 @@ fn campaign_verdicts_track_ground_truth() {
     }
 
     // Pooled totals are exactly the sum of per-host counts.
-    let fwd_reordered: usize = out.reports.iter().map(|r| r.fwd.reordered).sum();
-    let fwd_total: usize = out.reports.iter().map(|r| r.fwd.total).sum();
+    let fwd_reordered: usize = reports.iter().map(|r| r.fwd.reordered).sum();
+    let fwd_total: usize = reports.iter().map(|r| r.fwd.total).sum();
     assert_eq!(out.summary.fwd_pooled.reordered, fwd_reordered);
     assert_eq!(out.summary.fwd_pooled.total, fwd_total);
 }
@@ -72,9 +89,8 @@ fn forced_technique_applies_to_every_host() {
         baseline: false,
         ..CampaignConfig::default()
     };
-    let out = run_campaign(&cfg, None::<&mut Vec<u8>>).expect("no sink");
-    assert!(out
-        .reports
+    let (reports, _) = run_with_reports(&cfg);
+    assert!(reports
         .iter()
         .all(|r| r.technique == "syn" || r.technique == "none"));
 }
@@ -93,12 +109,12 @@ fn sharded_reports_are_a_slice_of_the_whole() {
         shard,
         ..CampaignConfig::default()
     };
-    let whole = run_campaign(&cfg(None), None::<&mut Vec<u8>>).expect("no sink");
+    let (whole, _) = run_with_reports(&cfg(None));
     for k in 1..=3 {
-        let part = run_campaign(&cfg(Some((k, 3))), None::<&mut Vec<u8>>).expect("no sink");
+        let (part, _) = run_with_reports(&cfg(Some((k, 3))));
         let (lo, hi) = shard_bounds(24, k, 3);
-        assert_eq!(part.reports.len(), hi - lo);
-        for (r, w) in part.reports.iter().zip(&whole.reports[lo..hi]) {
+        assert_eq!(part.len(), hi - lo);
+        for (r, w) in part.iter().zip(&whole[lo..hi]) {
             assert_eq!(r.id, w.id);
             assert_eq!(r.verdict, w.verdict);
             assert_eq!(r.technique, w.technique);

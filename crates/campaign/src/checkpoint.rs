@@ -161,14 +161,15 @@ impl Checkpoint {
     /// the stored one), then the exact state.
     pub fn from_json(text: &str) -> Result<Checkpoint, String> {
         let payload = unseal(text)?;
-        let schema = jsonx::str_field(&payload, "schema")?;
+        let doc = jsonx::parse(&payload)?;
+        let schema = doc.get("schema")?.as_str()?;
         if schema != CHECKPOINT_SCHEMA {
             return Err(format!(
                 "unsupported checkpoint schema `{schema}` (this build reads {CHECKPOINT_SCHEMA})"
             ));
         }
-        let spec = CampaignSpec::from_json(jsonx::field(&payload, "spec")?)?;
-        let stored = jsonx::str_field(&payload, "fingerprint")?;
+        let spec = CampaignSpec::from_value(doc.get("spec")?)?;
+        let stored = doc.get("fingerprint")?.as_str()?;
         let expect = format!("{:016x}", spec.fingerprint());
         if stored != expect {
             return Err(format!(
@@ -176,22 +177,25 @@ impl Checkpoint {
             ));
         }
         let mut completed = BTreeSet::new();
-        for raw in jsonx::elements(jsonx::field(&payload, "completed")?)? {
-            let shard: usize = raw.trim().parse().map_err(|_| "non-integer shard id")?;
+        for shard in doc.get("completed")?.items()? {
+            let shard: usize = shard.as_int()?;
             if shard == 0 || shard > spec.shards {
                 return Err(format!(
                     "completed shard {shard} outside plan 1..={}",
                     spec.shards
                 ));
             }
+            if completed.last().is_some_and(|&last| last >= shard) {
+                return Err(format!("completed shard {shard} out of order"));
+            }
             completed.insert(shard);
         }
         Ok(Checkpoint {
             spec,
             completed,
-            steals: jsonx::int_field(&payload, "steals")?,
-            agg: ShardAggregator::from_json(jsonx::field(&payload, "agg")?)?,
-            telemetry: WorkerTelemetry::from_state_json(jsonx::field(&payload, "telemetry")?)?,
+            steals: doc.int("steals")?,
+            agg: ShardAggregator::from_value(doc.get("agg")?)?,
+            telemetry: WorkerTelemetry::from_state_value(doc.get("telemetry")?)?,
         })
     }
 

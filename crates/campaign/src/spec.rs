@@ -9,20 +9,11 @@
 //! window, retry budget, telemetry mode — are deliberately excluded:
 //! they change how fast the bytes arrive, never which bytes.
 
-use reorder_core::jsonx;
+use reorder_core::jsonx::{self, Value};
 use reorder_core::scenario::SimVersion;
 use reorder_core::telemetry::TelemetryMode;
 use reorder_survey::{Budget, CampaignConfig, PopulationModel, TechniqueChoice};
 use std::time::Duration;
-
-/// Parse a JSON `true`/`false` field.
-fn bool_field(text: &str, key: &str) -> Result<bool, String> {
-    match jsonx::field(text, key)? {
-        "true" => Ok(true),
-        "false" => Ok(false),
-        other => Err(format!("`{key}` is not a bool: `{other}`")),
-    }
-}
 
 /// The output-affecting configuration of one campaign, plus its shard
 /// plan. Field set mirrors [`CampaignConfig`] minus the runtime knobs
@@ -131,27 +122,35 @@ impl CampaignSpec {
     /// required; an out-of-range shard count is rejected here so no
     /// planner downstream sees `shards == 0`.
     pub fn from_json(text: &str) -> Result<CampaignSpec, String> {
-        let mut gaps_us = Vec::new();
-        for raw in jsonx::elements(jsonx::field(text, "gaps_us")?)? {
-            gaps_us.push(raw.trim().parse().map_err(|_| "non-integer gap")?);
-        }
+        CampaignSpec::from_value(&jsonx::parse(text)?)
+    }
+
+    /// [`CampaignSpec::from_json`] for a document already parsed, e.g.
+    /// the `spec` member of a checkpoint.
+    pub(crate) fn from_value(v: &Value) -> Result<CampaignSpec, String> {
+        let flag = |key: &str| v.get(key)?.as_bool().map_err(|e| format!("`{key}`: {e}"));
         let spec = CampaignSpec {
-            hosts: jsonx::int_field(text, "hosts")?,
-            seed: jsonx::int_field(text, "seed")?,
-            samples: jsonx::int_field(text, "samples")?,
-            rounds: jsonx::int_field(text, "rounds")?,
-            technique: TechniqueChoice::parse(jsonx::str_field(text, "technique")?)?,
-            baseline: bool_field(text, "baseline")?,
-            amenability_only: bool_field(text, "amenability_only")?,
-            gaps_us,
-            reuse: bool_field(text, "reuse")?,
-            sim_version: jsonx::str_field(text, "sim_version")?.parse()?,
-            chaos_ppm: jsonx::int_field(text, "chaos_ppm")?,
-            deadline_ms: jsonx::int_field(text, "deadline_ms")?,
-            host_retries: jsonx::int_field(text, "host_retries")?,
-            backoff_ms: jsonx::int_field(text, "backoff_ms")?,
-            shards: jsonx::int_field(text, "shards")?,
-            jsonl: bool_field(text, "jsonl")?,
+            hosts: v.int("hosts")?,
+            seed: v.int("seed")?,
+            samples: v.int("samples")?,
+            rounds: v.int("rounds")?,
+            technique: TechniqueChoice::parse(v.get("technique")?.as_str()?)?,
+            baseline: flag("baseline")?,
+            amenability_only: flag("amenability_only")?,
+            gaps_us: v
+                .get("gaps_us")?
+                .items()?
+                .iter()
+                .map(Value::as_int)
+                .collect::<Result<_, _>>()?,
+            reuse: flag("reuse")?,
+            sim_version: v.get("sim_version")?.as_str()?.parse()?,
+            chaos_ppm: v.int("chaos_ppm")?,
+            deadline_ms: v.int("deadline_ms")?,
+            host_retries: v.int("host_retries")?,
+            backoff_ms: v.int("backoff_ms")?,
+            shards: v.int("shards")?,
+            jsonl: flag("jsonl")?,
         };
         if spec.shards == 0 {
             return Err("campaign wants at least 1 shard".into());

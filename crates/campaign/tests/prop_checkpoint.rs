@@ -6,14 +6,21 @@
 //! by the integrity hash rather than merged silently. These two laws
 //! are what let `--resume` promise byte-identical output instead of
 //! "approximately the same numbers".
+//!
+//! A third law covers the decoders on their own, below the seal: fed
+//! any truncation or single-byte mutation of a valid document, each
+//! returns `Err` or a value that re-encodes to exactly the bytes it was
+//! given, and none panics.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use reorder_campaign::{CampaignSpec, Checkpoint};
 use reorder_core::metrics::ReorderEstimate;
 use reorder_core::stats::{Moments, QuantileSketch};
 use reorder_core::telemetry::{TelemetryMode, WorkerTelemetry};
+use reorder_core::{IpidVerdict, Measurement, TestKind};
 use reorder_survey::aggregate::GroupAgg;
-use reorder_survey::{unseal, CampaignSummary, ShardAggregator};
+use reorder_survey::{unseal, CampaignSummary, FailureAgg, ShardAggregator, TechniqueChoice};
 use std::collections::BTreeMap;
 
 const LABELS: [&str; 6] = ["dual", "syn", "transfer", "striping", "freebsd4", "linux"];
@@ -140,6 +147,161 @@ fn arb_shard() -> impl Strategy<Value = ShardAggregator> {
             };
             ShardAggregator { summary, events }
         })
+}
+
+/// `shard` with a two-class failure taxonomy, so the strictness law
+/// also covers `FailureAgg`'s nested label maps.
+fn with_failures(mut shard: ShardAggregator, n: u64) -> ShardAggregator {
+    for (class, failed) in [("refused", n), ("unreachable", n / 3)] {
+        let agg = FailureAgg {
+            hosts: failed + 2,
+            failed,
+            degraded: 2,
+            by_mechanism: [("striping", failed), ("multipath", 2)]
+                .into_iter()
+                .collect(),
+            by_personality: [("linux", failed + 2)].into_iter().collect(),
+        };
+        shard.summary.failure_taxonomy.insert(class, agg);
+    }
+    shard
+}
+
+fn arb_spec() -> impl Strategy<Value = CampaignSpec> {
+    (
+        (0usize..1_000_000, any::<u64>(), 0usize..6, 1usize..64),
+        proptest::collection::vec(0u64..5_000, 0..4),
+        (any::<bool>(), any::<bool>(), 0u32..1_000_000),
+    )
+        .prop_map(
+            |((hosts, seed, kind, shards), gaps_us, (baseline, jsonl, chaos_ppm))| CampaignSpec {
+                hosts,
+                seed,
+                technique: match TestKind::all().get(kind) {
+                    Some(&k) => TechniqueChoice::Fixed(k),
+                    None => TechniqueChoice::Auto,
+                },
+                baseline,
+                gaps_us,
+                chaos_ppm,
+                shards,
+                jsonl,
+                ..CampaignSpec::default()
+            },
+        )
+}
+
+fn arb_measurement() -> impl Strategy<Value = Measurement> {
+    (
+        (0usize..5, 0usize..4, arb_est(), arb_est()),
+        (0usize..100, 0usize..10, any::<bool>()),
+        proptest::collection::vec((0u64..10_000, arb_est()), 0..3),
+    )
+        .prop_map(
+            |((kind, verdict, fwd, rev), (samples, discarded, base), gap_points)| Measurement {
+                kind: TestKind::all()[kind],
+                verdict: [
+                    IpidVerdict::Amenable,
+                    IpidVerdict::ConstantZero,
+                    IpidVerdict::NonMonotonic,
+                ]
+                .get(verdict)
+                .copied(),
+                fwd,
+                rev,
+                samples,
+                discarded,
+                baseline_rev: base.then_some(rev),
+                gap_points,
+            },
+        )
+}
+
+/// Seeded single-byte mutations: `(position, replacement)` pairs. The
+/// replacement is ASCII, so the mutated document stays a `&str`.
+fn arb_mutations() -> impl Strategy<Value = Vec<(usize, u8)>> {
+    proptest::collection::vec((any::<usize>(), 0u8..128), 48)
+}
+
+/// The strictness law for one decoder: every proper prefix of `doc`
+/// and every mutation of it decodes to `Err` or to a value whose
+/// encoding is exactly the input. `roundtrip` decodes and re-encodes.
+fn assert_strict(
+    doc: &str,
+    mutations: &[(usize, u8)],
+    roundtrip: impl Fn(&str) -> Result<String, String>,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(
+        roundtrip(doc).as_deref(),
+        Ok(doc),
+        "sanity: the valid document"
+    );
+    for end in 0..doc.len() {
+        let prefix = &doc[..end];
+        prop_assert!(roundtrip(prefix).is_err(), "prefix accepted: {}", prefix);
+    }
+    for &(pos, byte) in mutations {
+        let mut bytes = doc.as_bytes().to_vec();
+        let i = pos % bytes.len();
+        if bytes[i] == byte {
+            continue;
+        }
+        bytes[i] = byte;
+        let mutated = String::from_utf8(bytes).expect("ascii stays utf8");
+        if let Ok(again) = roundtrip(&mutated) {
+            prop_assert_eq!(
+                again,
+                mutated,
+                "mutation at byte {} changed on re-encode",
+                i
+            );
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Truncated or mutated state documents never panic a decoder and
+    /// never decode to a value that encodes differently.
+    #[test]
+    fn decoders_reject_or_reproduce_every_mutation(
+        shard in arb_shard(),
+        failures in 0u64..1_000,
+        ops in arb_ops(30),
+        spec in arb_spec(),
+        measurement in arb_measurement(),
+        sketch_vals in proptest::collection::vec(-2.0f64..2.0, 0..12),
+        mutations in arb_mutations(),
+    ) {
+        let mut sketch = QuantileSketch::new();
+        for v in sketch_vals {
+            sketch.push(v);
+        }
+        sketch.push(0.0);
+        sketch.push(f64::NAN);
+        let shard = with_failures(shard, failures);
+        let tel = apply(&ops);
+        assert_strict(&shard.summary.fwd_rates.to_json(), &mutations, |s| {
+            Moments::from_json(s).map(|v| v.to_json())
+        })?;
+        assert_strict(&sketch.to_json(), &mutations, |s| {
+            QuantileSketch::from_json(s).map(|v| v.to_json())
+        })?;
+        assert_strict(&tel.state_json(), &mutations, |s| {
+            WorkerTelemetry::from_state_json(s).map(|v| v.state_json())
+        })?;
+        assert_strict(&shard.to_json(), &mutations, |s| {
+            ShardAggregator::from_json(s).map(|v| v.to_json())
+        })?;
+        assert_strict(&spec.to_json(), &mutations, |s| {
+            CampaignSpec::from_json(s).map(|v| v.to_json())
+        })?;
+        assert_strict(&measurement.to_json(), &mutations, |s| {
+            Measurement::from_json(s).map(|v| v.to_json())
+        })?;
+    }
 }
 
 proptest! {

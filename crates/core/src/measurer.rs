@@ -36,6 +36,7 @@
 //! historical per-run behavior packet for packet.
 
 use crate::budget::Budget;
+use crate::jsonx::{self, Value};
 use crate::metrics::ReorderEstimate;
 use crate::probe::{ClientConn, ProbeError, Prober};
 use crate::sample::{MeasurementRun, TestConfig};
@@ -413,45 +414,41 @@ impl Measurement {
 
     /// Parse a report serialized by [`Measurement::to_json`].
     pub fn from_json(text: &str) -> Result<Measurement, String> {
-        let value = json::parse(text)?;
-        let obj = value.as_object("measurement")?;
-        let estimate = |v: &json::Value, what: &str| -> Result<ReorderEstimate, String> {
-            let o = v.as_object(what)?;
-            Ok(ReorderEstimate::new(
-                json::get(o, "reordered")?.as_usize("reordered")?,
-                json::get(o, "total")?.as_usize("total")?,
-            ))
+        let doc = jsonx::parse(text)?;
+        let estimate = |v: &Value| -> Result<ReorderEstimate, String> {
+            let (reordered, total) = (v.int("reordered")?, v.int("total")?);
+            if reordered > total {
+                return Err(format!("estimate {reordered}/{total} exceeds its total"));
+            }
+            Ok(ReorderEstimate { reordered, total })
         };
-        let kind: TestKind = json::get(obj, "kind")?
-            .as_str("kind")?
+        let kind: TestKind = doc
+            .get("kind")?
+            .as_str()?
             .parse()
             .map_err(|e: crate::techniques::UnknownTestKind| e.to_string())?;
-        let verdict = match json::get(obj, "verdict")? {
-            json::Value::Null => None,
+        let verdict = match doc.get("verdict")? {
+            Value::Null => None,
             v => Some(
-                IpidVerdict::from_label(v.as_str("verdict")?)
+                IpidVerdict::from_label(v.as_str()?)
                     .ok_or_else(|| "unknown verdict label".to_string())?,
             ),
         };
-        let baseline_rev = match json::get(obj, "baseline_rev")? {
-            json::Value::Null => None,
-            v => Some(estimate(v, "baseline_rev")?),
+        let baseline_rev = match doc.get("baseline_rev")? {
+            Value::Null => None,
+            v => Some(estimate(v)?),
         };
         let mut gap_points = Vec::new();
-        for item in json::get(obj, "gaps")?.as_array("gaps")? {
-            let o = item.as_object("gap point")?;
-            gap_points.push((
-                json::get(o, "gap_us")?.as_usize("gap_us")? as u64,
-                estimate(json::get(o, "fwd")?, "gap fwd")?,
-            ));
+        for point in doc.get("gaps")?.items()? {
+            gap_points.push((point.int("gap_us")?, estimate(point.get("fwd")?)?));
         }
         Ok(Measurement {
             kind,
             verdict,
-            fwd: estimate(json::get(obj, "fwd")?, "fwd")?,
-            rev: estimate(json::get(obj, "rev")?, "rev")?,
-            samples: json::get(obj, "samples")?.as_usize("samples")?,
-            discarded: json::get(obj, "discarded")?.as_usize("discarded")?,
+            fwd: estimate(doc.get("fwd")?)?,
+            rev: estimate(doc.get("rev")?)?,
+            samples: doc.int("samples")?,
+            discarded: doc.int("discarded")?,
             baseline_rev,
             gap_points,
         })
@@ -603,223 +600,6 @@ impl Measurer {
     }
 }
 
-/// A deliberately small JSON reader, sufficient for the fixed report
-/// shapes this crate writes (objects, arrays, strings without escapes
-/// beyond the writer's set, unsigned integers, null). Private: the
-/// public surface is `Measurement::{to,from}_json`.
-mod json {
-    pub enum Value {
-        Null,
-        Num(f64),
-        Str(String),
-        Arr(Vec<Value>),
-        Obj(Vec<(String, Value)>),
-    }
-
-    impl Value {
-        pub fn as_object<'v>(&'v self, what: &str) -> Result<&'v [(String, Value)], String> {
-            match self {
-                Value::Obj(fields) => Ok(fields),
-                _ => Err(format!("{what}: expected object")),
-            }
-        }
-
-        pub fn as_array<'v>(&'v self, what: &str) -> Result<&'v [Value], String> {
-            match self {
-                Value::Arr(items) => Ok(items),
-                _ => Err(format!("{what}: expected array")),
-            }
-        }
-
-        pub fn as_str<'v>(&'v self, what: &str) -> Result<&'v str, String> {
-            match self {
-                Value::Str(s) => Ok(s),
-                _ => Err(format!("{what}: expected string")),
-            }
-        }
-
-        pub fn as_usize(&self, what: &str) -> Result<usize, String> {
-            match self {
-                // reorder-lint: allow(float-eq, fract() returns exactly 0.0 for integral values by IEEE 754)
-                Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Ok(*n as usize),
-                _ => Err(format!("{what}: expected unsigned integer")),
-            }
-        }
-    }
-
-    pub fn get<'v>(obj: &'v [(String, Value)], key: &str) -> Result<&'v Value, String> {
-        obj.iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| format!("missing key `{key}`"))
-    }
-
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err("trailing characters".into());
-        }
-        Ok(v)
-    }
-
-    struct Parser<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    impl Parser<'_> {
-        fn skip_ws(&mut self) {
-            while self
-                .bytes
-                .get(self.pos)
-                .is_some_and(|b| b.is_ascii_whitespace())
-            {
-                self.pos += 1;
-            }
-        }
-
-        fn eat(&mut self, b: u8) -> Result<(), String> {
-            self.skip_ws();
-            if self.bytes.get(self.pos) == Some(&b) {
-                self.pos += 1;
-                Ok(())
-            } else {
-                Err(format!("expected `{}` at byte {}", b as char, self.pos))
-            }
-        }
-
-        fn peek(&mut self) -> Option<u8> {
-            self.skip_ws();
-            self.bytes.get(self.pos).copied()
-        }
-
-        fn value(&mut self) -> Result<Value, String> {
-            match self.peek() {
-                Some(b'{') => self.object(),
-                Some(b'[') => self.array(),
-                Some(b'"') => Ok(Value::Str(self.string()?)),
-                Some(b'n') => self.keyword("null", Value::Null),
-                Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-                _ => Err(format!("unexpected input at byte {}", self.pos)),
-            }
-        }
-
-        fn keyword(&mut self, word: &str, value: Value) -> Result<Value, String> {
-            if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-                self.pos += word.len();
-                Ok(value)
-            } else {
-                Err(format!("expected `{word}` at byte {}", self.pos))
-            }
-        }
-
-        fn object(&mut self) -> Result<Value, String> {
-            self.eat(b'{')?;
-            let mut fields = Vec::new();
-            if self.peek() == Some(b'}') {
-                self.pos += 1;
-                return Ok(Value::Obj(fields));
-            }
-            loop {
-                let key = self.string()?;
-                self.eat(b':')?;
-                fields.push((key, self.value()?));
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b'}') => {
-                        self.pos += 1;
-                        return Ok(Value::Obj(fields));
-                    }
-                    _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
-                }
-            }
-        }
-
-        fn array(&mut self) -> Result<Value, String> {
-            self.eat(b'[')?;
-            let mut items = Vec::new();
-            if self.peek() == Some(b']') {
-                self.pos += 1;
-                return Ok(Value::Arr(items));
-            }
-            loop {
-                items.push(self.value()?);
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b']') => {
-                        self.pos += 1;
-                        return Ok(Value::Arr(items));
-                    }
-                    _ => return Err(format!("expected `,` or `]` at byte {}", self.pos)),
-                }
-            }
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            self.eat(b'"')?;
-            let mut out = String::new();
-            loop {
-                match self.bytes.get(self.pos) {
-                    Some(b'"') => {
-                        self.pos += 1;
-                        return Ok(out);
-                    }
-                    Some(b'\\') => {
-                        let esc = self.bytes.get(self.pos + 1).copied();
-                        self.pos += 2;
-                        match esc {
-                            Some(b'"') => out.push('"'),
-                            Some(b'\\') => out.push('\\'),
-                            Some(b'n') => out.push('\n'),
-                            Some(b't') => out.push('\t'),
-                            Some(b'r') => out.push('\r'),
-                            _ => return Err("unsupported escape".into()),
-                        }
-                    }
-                    Some(&b) => {
-                        // Multi-byte UTF-8 passes through unchanged.
-                        let start = self.pos;
-                        let len = match b {
-                            _ if b < 0x80 => 1,
-                            _ if b < 0xE0 => 2,
-                            _ if b < 0xF0 => 3,
-                            _ => 4,
-                        };
-                        self.pos += len;
-                        let chunk = self.bytes.get(start..self.pos).ok_or("truncated string")?;
-                        out.push_str(
-                            std::str::from_utf8(chunk).map_err(|_| "invalid UTF-8".to_string())?,
-                        );
-                    }
-                    None => return Err("unterminated string".into()),
-                }
-            }
-        }
-
-        fn number(&mut self) -> Result<Value, String> {
-            let start = self.pos;
-            if self.bytes.get(self.pos) == Some(&b'-') {
-                self.pos += 1;
-            }
-            while self.bytes.get(self.pos).is_some_and(|b| {
-                b.is_ascii_digit() || *b == b'.' || *b == b'e' || *b == b'E' || *b == b'+'
-            }) {
-                self.pos += 1;
-            }
-            std::str::from_utf8(&self.bytes[start..self.pos])
-                .ok()
-                .and_then(|s| s.parse().ok())
-                .map(Value::Num)
-                .ok_or_else(|| format!("bad number at byte {start}"))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -960,6 +740,16 @@ mod tests {
         let m = Measurement::from_run(TestKind::Syn, &MeasurementRun::default());
         let line = m.to_json();
         assert!(Measurement::from_json(&line[..line.len() - 1]).is_err());
+        // Nesting is bounded, so a hostile document cannot overflow
+        // the stack.
+        assert!(Measurement::from_json(&"[".repeat(200_000)).is_err());
+        // `reordered > total` is corrupt input, not a panic.
+        let over = line.replace(
+            "\"fwd\":{\"reordered\":0,\"total\":0}",
+            "\"fwd\":{\"reordered\":2,\"total\":1}",
+        );
+        assert_ne!(over, line);
+        assert!(Measurement::from_json(&over).is_err());
     }
 
     #[test]

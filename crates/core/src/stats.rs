@@ -6,6 +6,8 @@
 //! difference between tests can be explained purely in terms of
 //! intra-test variability."
 
+use crate::jsonx::{self, Value};
+
 /// Arithmetic mean (0 for empty input).
 pub fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
@@ -324,83 +326,47 @@ impl QuantileSketch {
     /// resolutions, so a silent cross-resolution merge would corrupt
     /// quantiles).
     pub fn from_json(text: &str) -> Result<QuantileSketch, String> {
-        fn field<'a>(text: &'a str, key: &str) -> Result<&'a str, String> {
-            let pat = format!("\"{key}\":");
-            let at = text
-                .find(&pat)
-                .ok_or_else(|| format!("missing `{key}` in sketch JSON"))?;
-            Ok(&text[at + pat.len()..])
-        }
-        fn number(text: &str, key: &str) -> Result<u64, String> {
-            let rest = field(text, key)?;
-            let end = rest
-                .find(|c: char| !c.is_ascii_digit())
-                .unwrap_or(rest.len());
-            rest[..end]
-                .parse()
-                .map_err(|_| format!("bad `{key}` in sketch JSON"))
-        }
-        fn pairs(text: &str, key: &str) -> Result<std::collections::BTreeMap<i32, u64>, String> {
-            let rest = field(text, key)?;
-            let rest = rest
-                .strip_prefix('[')
-                .ok_or_else(|| format!("`{key}` is not an array"))?;
-            // The payload runs to the `]` that closes the outer array:
-            // track bracket depth (entries are `[k,c]` pairs).
-            let mut depth = 1i32;
-            let mut end = None;
-            for (i, ch) in rest.char_indices() {
-                match ch {
-                    '[' => depth += 1,
-                    ']' => {
-                        depth -= 1;
-                        if depth == 0 {
-                            end = Some(i);
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            let end = end.ok_or_else(|| format!("unterminated `{key}` array"))?;
-            let body = &rest[..end];
+        QuantileSketch::from_value(&jsonx::parse(text)?)
+    }
+
+    /// [`QuantileSketch::from_json`] for a sketch already parsed, e.g.
+    /// one nested inside a checkpoint document. Bucket pairs must be in
+    /// the ascending key order the writer emits, and the derived total
+    /// count must fit a `u64`.
+    pub fn from_value(v: &Value) -> Result<QuantileSketch, String> {
+        fn buckets(v: &Value) -> Result<std::collections::BTreeMap<i32, u64>, String> {
             let mut map = std::collections::BTreeMap::new();
-            for pair in body.split("],") {
-                let pair = pair.trim_matches(|c| c == '[' || c == ']' || c == ',' || c == ' ');
-                if pair.is_empty() {
-                    continue;
+            for pair in v.items()? {
+                let [key, count] = pair.items()? else {
+                    return Err("sketch bucket wants [key,count]".into());
+                };
+                let key: i32 = key.as_int()?;
+                if map.last_key_value().is_some_and(|(&last, _)| last >= key) {
+                    return Err(format!("sketch bucket {key} out of order"));
                 }
-                let (k, c) = pair
-                    .split_once(',')
-                    .ok_or_else(|| format!("bad pair `{pair}` in `{key}`"))?;
-                let k: i32 = k
-                    .trim()
-                    .parse()
-                    .map_err(|_| format!("bad key `{k}` in `{key}`"))?;
-                let c: u64 = c
-                    .trim()
-                    .parse()
-                    .map_err(|_| format!("bad count `{c}` in `{key}`"))?;
-                if map.insert(k, c).is_some() {
-                    return Err(format!("duplicate key {k} in `{key}`"));
-                }
+                map.insert(key, count.as_int()?);
             }
             Ok(map)
         }
-        let sub_bits = number(text, "sub_bits")?;
+        let sub_bits: u64 = v.int("sub_bits")?;
         if sub_bits != u64::from(SKETCH_SUB_BITS) {
             return Err(format!(
                 "sketch resolution mismatch: file has sub_bits={sub_bits}, build uses {SKETCH_SUB_BITS}"
             ));
         }
         let mut sk = QuantileSketch {
-            zero: number(text, "zero")?,
-            nan: number(text, "nan")?,
-            neg: pairs(text, "neg")?,
-            pos: pairs(text, "pos")?,
+            zero: v.int("zero")?,
+            nan: v.int("nan")?,
+            neg: buckets(v.get("neg")?)?,
+            pos: buckets(v.get("pos")?)?,
             count: 0,
         };
-        sk.count = sk.zero + sk.neg.values().sum::<u64>() + sk.pos.values().sum::<u64>();
+        sk.count = sk
+            .neg
+            .values()
+            .chain(sk.pos.values())
+            .try_fold(sk.zero, |acc, &c| acc.checked_add(c))
+            .ok_or("sketch count overflows u64")?;
         Ok(sk)
     }
 }
@@ -528,25 +494,16 @@ impl Moments {
     /// Parse a [`Moments::to_json`] string back into the exact state.
     /// Rejects malformed input rather than defaulting any field.
     pub fn from_json(text: &str) -> Result<Moments, String> {
-        fn int<T: std::str::FromStr>(text: &str, key: &str) -> Result<T, String> {
-            let pat = format!("\"{key}\":");
-            let at = text
-                .find(&pat)
-                .ok_or_else(|| format!("missing `{key}` in moments JSON"))?;
-            let rest = &text[at + pat.len()..];
-            let end = rest
-                .char_indices()
-                .find(|&(i, c)| !(c.is_ascii_digit() || (i == 0 && c == '-')))
-                .map(|(i, _)| i)
-                .unwrap_or(rest.len());
-            rest[..end]
-                .parse()
-                .map_err(|_| format!("bad `{key}` in moments JSON"))
-        }
+        Moments::from_value(&jsonx::parse(text)?)
+    }
+
+    /// [`Moments::from_json`] for a document already parsed, e.g. one
+    /// nested inside a checkpoint.
+    pub fn from_value(v: &Value) -> Result<Moments, String> {
         Ok(Moments {
-            n: int(text, "n")?,
-            sum: int(text, "sum")?,
-            sumsq: int(text, "sumsq")?,
+            n: v.int("n")?,
+            sum: v.int("sum")?,
+            sumsq: v.int("sumsq")?,
         })
     }
 }
@@ -801,6 +758,19 @@ mod tests {
                 .unwrap_err()
                 .contains("resolution")
         );
+        // Counts whose total overflows u64 are an error, not a panic.
+        let huge = format!(
+            "{{\"sub_bits\":{SKETCH_SUB_BITS},\"zero\":{},\"nan\":0,\"neg\":[],\"pos\":[[0,1]]}}",
+            u64::MAX
+        );
+        assert!(QuantileSketch::from_json(&huge)
+            .unwrap_err()
+            .contains("overflow"));
+        // Buckets out of key order would not re-encode to the same bytes.
+        let swapped = format!(
+            "{{\"sub_bits\":{SKETCH_SUB_BITS},\"zero\":0,\"nan\":0,\"neg\":[],\"pos\":[[5,1],[2,1]]}}"
+        );
+        assert!(QuantileSketch::from_json(&swapped).is_err());
     }
 
     #[test]
@@ -843,6 +813,24 @@ mod tests {
                 .fold(Moments::new(), |acc, p| p.merge(&acc));
             assert_eq!(l, whole, "stride {stride}");
             assert_eq!(r, whole, "stride {stride} (reversed)");
+        }
+    }
+
+    #[test]
+    fn moments_json_round_trips_and_rejects_malformed() {
+        let mut m = Moments::new();
+        for x in [0.25, -3.5, 1e-6] {
+            m.push(x);
+        }
+        let json = m.to_json();
+        assert_eq!(Moments::from_json(&json).unwrap(), m);
+        for bad in [
+            "{\"n\":5x,\"sum\":0,\"sumsq\":0}",
+            "{\"n\":5,\"sum\":0,\"sumsq\":0",
+            "{\"n\":-1,\"sum\":0,\"sumsq\":0}",
+            "{\"sum\":0,\"sumsq\":0}",
+        ] {
+            assert!(Moments::from_json(bad).is_err(), "`{bad}` must be rejected");
         }
     }
 

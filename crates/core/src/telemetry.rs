@@ -21,7 +21,7 @@
 //! so they live only in telemetry output — never in campaign reports,
 //! whose bytes stay pinned regardless of mode.
 
-use crate::jsonx;
+use crate::jsonx::{self, Value};
 use crate::stats::{Moments, QuantileSketch};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -35,12 +35,14 @@ use std::time::Instant;
 /// documents carry only labels some build emitted.
 pub fn intern_label(label: &str) -> &'static str {
     use std::collections::BTreeSet;
-    use std::sync::{Mutex, OnceLock};
+    use std::sync::{Mutex, OnceLock, PoisonError};
     static INTERNED: OnceLock<Mutex<BTreeSet<&'static str>>> = OnceLock::new();
+    // The set is only ever inserted into, so a holder that panicked
+    // cannot have left it half-updated: recover rather than propagate.
     let mut set = INTERNED
         .get_or_init(|| Mutex::new(BTreeSet::new()))
         .lock()
-        .expect("label interner poisoned");
+        .unwrap_or_else(PoisonError::into_inner);
     match set.get(label) {
         Some(&interned) => interned,
         None => {
@@ -181,9 +183,13 @@ impl SpanStats {
 
     /// Parse a [`SpanStats::state_json`] document back bit-exactly.
     pub fn from_state_json(text: &str) -> Result<SpanStats, String> {
+        SpanStats::from_state_value(&jsonx::parse(text)?)
+    }
+
+    fn from_state_value(v: &Value) -> Result<SpanStats, String> {
         Ok(SpanStats {
-            secs: Moments::from_json(jsonx::field(text, "secs")?)?,
-            sketch: QuantileSketch::from_json(jsonx::field(text, "sketch")?)?,
+            secs: Moments::from_value(v.get("secs")?)?,
+            sketch: QuantileSketch::from_value(v.get("sketch")?)?,
         })
     }
 }
@@ -330,16 +336,21 @@ impl WorkerTelemetry {
     /// exact state, interning restored labels via [`intern_label`].
     /// Rejects malformed documents rather than defaulting fields.
     pub fn from_state_json(text: &str) -> Result<WorkerTelemetry, String> {
+        WorkerTelemetry::from_state_value(&jsonx::parse(text)?)
+    }
+
+    /// [`WorkerTelemetry::from_state_json`] for a document already
+    /// parsed, e.g. the `telemetry` member of a checkpoint.
+    pub fn from_state_value(v: &Value) -> Result<WorkerTelemetry, String> {
         let mut tel = WorkerTelemetry::new();
-        for elem in jsonx::elements(jsonx::field(text, "counters")?)? {
-            let (key, val) = jsonx::member(elem)?;
-            let n: u64 = val.parse().map_err(|_| format!("bad counter `{key}`"))?;
+        for (key, n) in v.get("counters")?.members()? {
+            let n = n.as_int().map_err(|e| format!("counter `{key}`: {e}"))?;
             tel.counters.insert(intern_label(key), n);
         }
-        for elem in jsonx::elements(jsonx::field(text, "spans")?)? {
-            let (key, val) = jsonx::member(elem)?;
-            tel.spans
-                .insert(intern_label(key), SpanStats::from_state_json(val)?);
+        for (key, span) in v.get("spans")?.members()? {
+            let span =
+                SpanStats::from_state_value(span).map_err(|e| format!("span `{key}`: {e}"))?;
+            tel.spans.insert(intern_label(key), span);
         }
         Ok(tel)
     }

@@ -195,9 +195,11 @@ pub fn mask_source(src: &str) -> Masked {
             // char) is a lifetime and stays code.
             let q = if c == b'\'' { i } else { i + 1 };
             if q + 1 < b.len() && b[q + 1] == b'\\' {
-                let mut j = q + 2;
+                // The byte after the backslash is the escaped char
+                // itself (`\\`, `\'`, `n`, `x`, `u`), never the close.
+                let mut j = q + 3;
                 while j < b.len() && b[j] != b'\'' {
-                    j += if b[j] == b'\\' { 2 } else { 1 };
+                    j += 1;
                 }
                 blank_range(&mut out, i, (j + 1).min(b.len()));
                 i = (j + 1).min(b.len());

@@ -130,3 +130,27 @@ fn rule_table_ids_are_unique_and_kebab_case() {
         assert!(!desc.is_empty());
     }
 }
+
+#[test]
+fn escaped_backslash_char_literal_keeps_the_scanner_in_sync() {
+    // `b'\\'` once swallowed its own closing quote, so the scanner
+    // masked code up to the next `'` and read every string after it
+    // inside out: the `#[cfg(test)]` module below was no longer
+    // exempt, and real findings could be hidden.
+    let src = r#"pub fn escapes(b: u8) -> bool {
+    b == b'\\' || b == b'"' || b == b'\''
+}
+pub fn real(x: Option<u8>) -> u8 {
+    x.unwrap()
+}
+#[cfg(test)]
+mod tests {
+    fn exempt() {
+        assert!(super::escapes(b"\"\\"[0]));
+        Some(1).unwrap();
+    }
+}
+"#;
+    let got = findings("crates/core/src/fx.rs", src);
+    assert_eq!(got, vec![("unwrap".to_string(), 5)]);
+}

@@ -18,7 +18,7 @@
 //! and merged losslessly.
 
 use crate::pipeline::{HostOutcome, HostReport};
-use reorder_core::jsonx;
+use reorder_core::jsonx::{self, Value};
 use reorder_core::metrics::ReorderEstimate;
 use reorder_core::stats::{Moments, QuantileSketch, SKETCH_RELATIVE_ERROR};
 use reorder_core::techniques::IpidVerdict;
@@ -32,22 +32,23 @@ fn est_json(e: &ReorderEstimate) -> String {
     format!("[{},{}]", e.reordered, e.total)
 }
 
-/// Parse an [`est_json`] pair, rejecting `reordered > total` (the
-/// invariant [`ReorderEstimate::new`] asserts) instead of panicking on
-/// corrupt input.
-fn est_from_json(raw: &str) -> Result<ReorderEstimate, String> {
-    let parts = jsonx::elements(raw)?;
-    if parts.len() != 2 {
-        return Err("estimate wants [reordered,total]".into());
-    }
-    let reordered: usize = parts[0]
-        .parse()
-        .map_err(|_| "non-integer reordered count")?;
-    let total: usize = parts[1].parse().map_err(|_| "non-integer total count")?;
+/// Read an estimate from its two count values, rejecting
+/// `reordered > total` (the invariant [`ReorderEstimate::new`]
+/// asserts) instead of panicking on corrupt input.
+fn est(reordered: &Value, total: &Value) -> Result<ReorderEstimate, String> {
+    let (reordered, total) = (reordered.as_int()?, total.as_int()?);
     if reordered > total {
         return Err(format!("estimate {reordered}/{total} exceeds its total"));
     }
     Ok(ReorderEstimate { reordered, total })
+}
+
+/// Read an [`est_json`] pair.
+fn est_pair(v: &Value) -> Result<ReorderEstimate, String> {
+    match v.items()? {
+        [reordered, total] => est(reordered, total),
+        _ => Err("estimate wants [reordered,total]".into()),
+    }
 }
 
 /// Upper bucket bounds of [`RateHistogram`] (a first bucket catches
@@ -198,11 +199,15 @@ impl GroupAgg {
 
     /// Parse a [`GroupAgg::to_json`] document back bit-exactly.
     pub fn from_json(text: &str) -> Result<GroupAgg, String> {
+        GroupAgg::from_value(&jsonx::parse(text)?)
+    }
+
+    fn from_value(v: &Value) -> Result<GroupAgg, String> {
         Ok(GroupAgg {
-            hosts: jsonx::int_field(text, "hosts")?,
-            fwd: est_from_json(jsonx::field(text, "fwd")?)?,
-            rev: est_from_json(jsonx::field(text, "rev")?)?,
-            fwd_rates: Moments::from_json(jsonx::field(text, "fwd_rates")?)?,
+            hosts: v.int("hosts")?,
+            fwd: est_pair(v.get("fwd")?)?,
+            rev: est_pair(v.get("rev")?)?,
+            fwd_rates: Moments::from_value(v.get("fwd_rates")?)?,
         })
     }
 }
@@ -282,23 +287,25 @@ impl FailureAgg {
 
     /// Parse a [`FailureAgg::to_json`] document back bit-exactly.
     pub fn from_json(text: &str) -> Result<FailureAgg, String> {
+        FailureAgg::from_value(&jsonx::parse(text)?)
+    }
+
+    fn from_value(v: &Value) -> Result<FailureAgg, String> {
         let mut agg = FailureAgg {
-            hosts: jsonx::int_field(text, "hosts")?,
-            failed: jsonx::int_field(text, "failed")?,
-            degraded: jsonx::int_field(text, "degraded")?,
+            hosts: v.int("hosts")?,
+            failed: v.int("failed")?,
+            degraded: v.int("degraded")?,
             ..FailureAgg::default()
         };
         for (name, map) in [
             ("by_mechanism", &mut agg.by_mechanism),
             ("by_personality", &mut agg.by_personality),
         ] {
-            for elem in jsonx::elements(jsonx::field(text, name)?)? {
-                let (key, val) = jsonx::member(elem)?;
-                let n: u64 = val.trim().parse().map_err(|_| "non-integer host count")?;
-                map.insert(intern_label(key), n);
+            for (key, n) in v.get(name)?.members()? {
+                map.insert(intern_label(key), n.as_int()?);
             }
         }
-        if agg.failed + agg.degraded != agg.hosts {
+        if agg.failed.checked_add(agg.degraded) != Some(agg.hosts) {
             return Err(format!(
                 "failure class counts {}+{} disagree with hosts {}",
                 agg.failed, agg.degraded, agg.hosts
@@ -534,48 +541,55 @@ impl CampaignSummary {
     /// exact state. Malformed documents are rejected field-by-field;
     /// nothing is defaulted.
     pub fn from_json(text: &str) -> Result<CampaignSummary, String> {
+        CampaignSummary::from_value(&jsonx::parse(text)?)
+    }
+
+    fn from_value(v: &Value) -> Result<CampaignSummary, String> {
         let mut sum = CampaignSummary {
-            hosts: jsonx::int_field(text, "hosts")?,
-            reachable: jsonx::int_field(text, "reachable")?,
-            amenable: jsonx::int_field(text, "amenable")?,
-            constant_zero: jsonx::int_field(text, "constant_zero")?,
-            non_monotonic: jsonx::int_field(text, "non_monotonic")?,
-            probe_failed: jsonx::int_field(text, "probe_failed")?,
-            reordering_hosts: jsonx::int_field(text, "reordering_hosts")?,
-            fwd_rates: Moments::from_json(jsonx::field(text, "fwd_rates")?)?,
-            rev_rates: Moments::from_json(jsonx::field(text, "rev_rates")?)?,
-            fwd_pooled: est_from_json(jsonx::field(text, "fwd_pooled")?)?,
-            rev_pooled: est_from_json(jsonx::field(text, "rev_pooled")?)?,
-            baseline_pooled: est_from_json(jsonx::field(text, "baseline_pooled")?)?,
-            fwd_sketch: QuantileSketch::from_json(jsonx::field(text, "fwd_sketch")?)?,
-            failed: jsonx::int_field(text, "failed")?,
-            degraded: jsonx::int_field(text, "degraded")?,
-            failure_rounds: jsonx::int_field(text, "failure_rounds")?,
+            hosts: v.int("hosts")?,
+            reachable: v.int("reachable")?,
+            amenable: v.int("amenable")?,
+            constant_zero: v.int("constant_zero")?,
+            non_monotonic: v.int("non_monotonic")?,
+            probe_failed: v.int("probe_failed")?,
+            reordering_hosts: v.int("reordering_hosts")?,
+            fwd_rates: Moments::from_value(v.get("fwd_rates")?)?,
+            rev_rates: Moments::from_value(v.get("rev_rates")?)?,
+            fwd_pooled: est_pair(v.get("fwd_pooled")?)?,
+            rev_pooled: est_pair(v.get("rev_pooled")?)?,
+            baseline_pooled: est_pair(v.get("baseline_pooled")?)?,
+            fwd_sketch: QuantileSketch::from_value(v.get("fwd_sketch")?)?,
+            failed: v.int("failed")?,
+            degraded: v.int("degraded")?,
+            failure_rounds: v.int("failure_rounds")?,
             ..CampaignSummary::default()
         };
-        for elem in jsonx::elements(jsonx::field(text, "failure_taxonomy")?)? {
-            let (key, val) = jsonx::member(elem)?;
+        for (key, f) in v.get("failure_taxonomy")?.members()? {
             sum.failure_taxonomy
-                .insert(intern_label(key), FailureAgg::from_json(val)?);
+                .insert(intern_label(key), FailureAgg::from_value(f)?);
         }
         for (name, map) in [
             ("by_technique", &mut sum.by_technique),
             ("by_personality", &mut sum.by_personality),
             ("by_mechanism", &mut sum.by_mechanism),
         ] {
-            for elem in jsonx::elements(jsonx::field(text, name)?)? {
-                let (key, val) = jsonx::member(elem)?;
-                map.insert(intern_label(key), GroupAgg::from_json(val)?);
+            for (key, g) in v.get(name)?.members()? {
+                map.insert(intern_label(key), GroupAgg::from_value(g)?);
             }
         }
-        for elem in jsonx::elements(jsonx::field(text, "gap_profile")?)? {
-            let parts = jsonx::elements(elem)?;
-            if parts.len() != 3 {
+        for row in v.get("gap_profile")?.items()? {
+            let [gap, reordered, total] = row.items()? else {
                 return Err("gap_profile row wants [gap,reordered,total]".into());
+            };
+            let gap: u64 = gap.as_int()?;
+            if sum
+                .gap_profile
+                .last_key_value()
+                .is_some_and(|(&last, _)| last >= gap)
+            {
+                return Err(format!("gap_profile row {gap} out of order"));
             }
-            let gap: u64 = parts[0].parse().map_err(|_| "non-integer gap")?;
-            let est = est_from_json(&format!("[{},{}]", parts[1], parts[2]))?;
-            sum.gap_profile.insert(gap, est);
+            sum.gap_profile.insert(gap, est(reordered, total)?);
         }
         Ok(sum)
     }
@@ -764,8 +778,7 @@ impl ShardAggregator {
     }
 
     /// Serialize the exact shard state — the unit the campaign
-    /// orchestrator checkpoints at every shard boundary. `events` is
-    /// emitted first so the summary's own keys can never shadow it.
+    /// orchestrator checkpoints at every shard boundary.
     pub fn to_json(&self) -> String {
         format!(
             "{{\"events\":{},\"summary\":{}}}",
@@ -778,9 +791,15 @@ impl ShardAggregator {
     /// restored state merges and renders identically to the original
     /// (asserted by the checkpoint property suite).
     pub fn from_json(text: &str) -> Result<ShardAggregator, String> {
+        ShardAggregator::from_value(&jsonx::parse(text)?)
+    }
+
+    /// [`ShardAggregator::from_json`] for a document already parsed,
+    /// e.g. the `agg` member of a shard state or checkpoint.
+    pub fn from_value(v: &Value) -> Result<ShardAggregator, String> {
         Ok(ShardAggregator {
-            events: jsonx::int_field(text, "events")?,
-            summary: CampaignSummary::from_json(jsonx::field(text, "summary")?)?,
+            events: v.int("events")?,
+            summary: CampaignSummary::from_value(v.get("summary")?)?,
         })
     }
 }
@@ -947,6 +966,26 @@ mod tests {
                 .replace("\"fwd_pooled\":[0,0]", "\"fwd_pooled\":[5,2]")
             + "}";
         assert!(ShardAggregator::from_json(&bad).is_err());
+        // A nested `events` key earlier in the document must not
+        // shadow the real one: lookups are scoped to their object.
+        let nested = good.replacen("{\"events\":", "{\"x\":{\"events\":7},\"events\":", 1);
+        let events = ShardAggregator::from_json(&nested).map(|s| s.events);
+        assert!(matches!(events, Ok(e) if e == shard.events), "{events:?}");
+        assert_ne!(shard.events, 7);
+        // Failure counts whose sum overflows u64 are an error, not a
+        // panic.
+        let overflow = "{\"events\":0,\"summary\":".to_string()
+            + &CampaignSummary::default().to_json().replace(
+                "\"failure_taxonomy\":{}",
+                &format!(
+                    "\"failure_taxonomy\":{{\"refused\":{{\"hosts\":0,\"failed\":{},\
+                     \"degraded\":1,\"by_mechanism\":{{}},\"by_personality\":{{}}}}}}",
+                    u64::MAX
+                ),
+            )
+            + "}";
+        assert!(overflow.contains("\"refused\""));
+        assert!(ShardAggregator::from_json(&overflow).is_err());
     }
 
     #[test]

@@ -40,17 +40,20 @@ pub fn seal(doc: &str) -> String {
 /// malformed hex, or a hash that does not match the payload bytes —
 /// is an error: corruption is surfaced, never absorbed.
 pub fn unseal(text: &str) -> Result<String, String> {
-    let text = text.trim_end();
-    let marker = ",\"fnv1a64\":\"";
-    let at = text.rfind(marker).ok_or("missing integrity hash")?;
-    let hex = text[at + marker.len()..]
+    // The trailer has a fixed shape and length, so it is stripped from
+    // the end rather than searched for.
+    let body = text
+        .trim_end()
         .strip_suffix("\"}")
         .ok_or("malformed integrity trailer")?;
-    if hex.len() != 16 {
-        return Err("malformed integrity hash".into());
-    }
+    let (head, hex) = (body.len().checked_sub(16))
+        .and_then(|at| body.split_at_checked(at))
+        .ok_or("malformed integrity hash")?;
+    let head = head
+        .strip_suffix(",\"fnv1a64\":\"")
+        .ok_or("missing integrity hash")?;
     let stored = u64::from_str_radix(hex, 16).map_err(|_| "non-hex integrity hash")?;
-    let payload = format!("{}}}", &text[..at]);
+    let payload = format!("{head}}}");
     let computed = jsonx::fnv1a64(payload.as_bytes());
     if computed != stored {
         return Err(format!(
@@ -96,23 +99,24 @@ impl ShardState {
     /// first, then schema version, then the exact state.
     pub fn from_json(text: &str) -> Result<ShardState, String> {
         let payload = unseal(text)?;
-        let schema = jsonx::str_field(&payload, "schema")?;
+        let doc = jsonx::parse(&payload)?;
+        let schema = doc.get("schema")?.as_str()?;
         if schema != SHARD_SCHEMA {
             return Err(format!(
                 "unsupported shard-state schema `{schema}` (this build reads {SHARD_SCHEMA})"
             ));
         }
-        let shard: usize = jsonx::int_field(&payload, "shard")?;
-        let shards: usize = jsonx::int_field(&payload, "shards")?;
+        let shard: usize = doc.int("shard")?;
+        let shards: usize = doc.int("shards")?;
         if shards == 0 || shard == 0 || shard > shards {
             return Err(format!("invalid shard index {shard}/{shards}"));
         }
         Ok(ShardState {
             shard,
             shards,
-            steals: jsonx::int_field(&payload, "steals")?,
-            agg: ShardAggregator::from_json(jsonx::field(&payload, "agg")?)?,
-            telemetry: WorkerTelemetry::from_state_json(jsonx::field(&payload, "telemetry")?)?,
+            steals: doc.int("steals")?,
+            agg: ShardAggregator::from_value(doc.get("agg")?)?,
+            telemetry: WorkerTelemetry::from_state_value(doc.get("telemetry")?)?,
         })
     }
 }

@@ -112,8 +112,9 @@ fn bench_engine(c: &mut Criterion) {
             assert_eq!(*count.borrow(), 500);
         })
     });
-    // The v1/v2 cross-traffic pair: replay is the per-arrival Poisson
-    // reconstruction, stationary the O(1) workload draw.
+    // The cross-traffic pair: replay is the per-arrival Poisson
+    // reconstruction (the stationary sampler's test oracle), stationary
+    // the O(1) workload draw every scenario runs.
     for model in [CrossTrafficModel::Replay, CrossTrafficModel::Stationary] {
         g.bench_function(format!("striping_{}_500_packets", model.label()), |b| {
             b.iter(|| {

@@ -9,12 +9,12 @@
 //!
 //! The path is a 2-way per-packet-striped link with Poisson cross
 //! traffic (the physical mechanism §IV-C identifies); the instrument is
-//! the Dual Connection Test with its gap parameter. Since campaign
-//! format v2 the stripe's backlog comes from the O(1) stationary
-//! workload sampler (`scenario::striped_path`'s default
-//! `SimVersion`) — the decay curve is statistically unchanged from the
-//! v1 replay (asserted by the striping equivalence tests) but each
-//! point now costs one draw per probe instead of a burst-history
+//! the Dual Connection Test with its gap parameter. The stripe's
+//! backlog comes from the O(1) stationary workload sampler, the one
+//! cross-traffic model every scenario runs: the decay curve is
+//! statistically the same as the per-arrival Poisson replay's (the
+//! striping equivalence tests keep that replay as their oracle), but
+//! each point costs one draw per probe instead of a burst-history
 //! replay.
 
 use reorder_bench::{parallel_map, pct, rule, run_technique, Scale};
@@ -54,8 +54,8 @@ fn main() {
 
     println!("E4: reordering probability vs inter-packet spacing (Fig. 7, §IV-C)");
     println!(
-        "    dual connection test over a 2-way striped 1 Gbit/s path (sim v2, \
-         stationary cross traffic), {} samples/point, {} points",
+        "    dual connection test over a 2-way striped 1 Gbit/s path \
+         (stationary cross traffic), {} samples/point, {} points",
         samples,
         gaps.len()
     );

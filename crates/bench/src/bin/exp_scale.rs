@@ -4,11 +4,10 @@
 //! the result as `BENCH_campaign.json` so this and future PRs leave a
 //! perf trajectory instead of anecdotes.
 //!
-//! Since campaign format v2 every scale runs *per simulation version*:
-//! the full pipeline under `--sim-version` 1 (replayed cross traffic)
-//! and 2 (stationary O(1) draws), so the sampler redesign's win is a
-//! recorded ratio, not a claim. The ablation arms run under v2 (the
-//! default format).
+//! Every row runs the one campaign format (stationary O(1)
+//! cross-traffic draws). The rows keep their `v2_` names from when a
+//! replayed-cross-traffic v1 format ran beside them, so the recorded
+//! trajectory stays comparable across that format's retirement.
 //!
 //! * `REORDER_SCALE=quick|std|full` picks 120 / 1000 / 5000 hosts.
 //! * `REORDER_BENCH_RUNS=<n>` takes the min-of-n wall time per config
@@ -16,14 +15,13 @@
 //!   10 so the recorded trajectory is noise-floored).
 //! * `REORDER_BENCH_OUT` overrides the output path.
 //! * `REORDER_BENCH_FLOOR=<path>` enables the regression gate: the
-//!   floor file holds the worst acceptable full-pipeline hosts/sec per
-//!   version for the current scale; the run fails (exit 1) when either
-//!   version's throughput lands more than 30% below its floor. CI runs
-//!   the quick scale with the checked-in `BENCH_floor.json`.
+//!   floor file holds the worst acceptable hosts/sec of the full and
+//!   chaos rows for the current scale; the run fails (exit 1) when
+//!   either lands more than 30% below its floor. CI runs the quick
+//!   scale with the checked-in `BENCH_floor.json`.
 
 use reorder_bench::{rule, Scale};
 use reorder_campaign::{start, CampaignOptions, CampaignSpec, InProcessRunner};
-use reorder_core::scenario::SimVersion;
 use reorder_survey::{
     run_campaign, CampaignConfig, CampaignOutcome, PopulationModel, TelemetryMode,
 };
@@ -97,36 +95,15 @@ fn main() {
         seed,
         ..CampaignConfig::default()
     };
-    let v1 = CampaignConfig {
-        sim_version: SimVersion::V1,
-        ..base.clone()
-    };
 
     println!(
         "exp_scale: campaign throughput at {hosts} hosts (seed {seed}, 1 worker, \
-         min-of-{runs}, v1 = replay, v2 = stationary)"
+         min-of-{runs})"
     );
     rule(84);
 
     let base_scaling = base.clone();
     let rows = [
-        measure("v1_full", &v1.clone(), runs),
-        measure(
-            "v1_no_baseline",
-            &CampaignConfig {
-                baseline: false,
-                ..v1.clone()
-            },
-            runs,
-        ),
-        measure(
-            "v1_amenability_only",
-            &CampaignConfig {
-                amenability_only: true,
-                ..v1
-            },
-            runs,
-        ),
         measure("v2_full", &base.clone(), runs),
         measure(
             "v2_no_baseline",
@@ -144,7 +121,7 @@ fn main() {
             },
             runs,
         ),
-        // Telemetry overhead arm: the same full v2 pipeline with
+        // Telemetry overhead arm: the same full pipeline with
         // summary-mode instrumentation on — gated against `v2_full`
         // below so observation stays within its ≤5% budget.
         measure(
@@ -155,7 +132,7 @@ fn main() {
             },
             runs,
         ),
-        // Chaos arm: the same v2 full pipeline over a 20%-hostile
+        // Chaos arm: the same full pipeline over a 20%-hostile
         // population (all five fault classes) — hostile hosts burn
         // their budget and abort early, so this row tracks what a
         // survey of an uncooperative internet actually costs.
@@ -170,7 +147,7 @@ fn main() {
             },
             runs,
         ),
-        // Ablations (v2): each turns one hot-path contribution off.
+        // Ablations: each turns one hot-path contribution off.
         measure(
             "v2_full_no_pool",
             &CampaignConfig {
@@ -200,20 +177,13 @@ fn main() {
             r.name, r.hosts, r.wall_s, r.hosts_per_sec, r.events, r.events_per_sec
         );
     }
-    // Looked up by name: the speedup ratio and the floor gate must not
-    // silently follow a reordering of the rows array.
+    // Looked up by name: the floor gate must not silently follow a
+    // reordering of the rows array.
     let row = |name: &str| {
         rows.iter()
             .find(|r| r.name == name)
             .unwrap_or_else(|| panic!("missing bench row `{name}`"))
     };
-    let v1_full = row("v1_full");
-    let v2_full = row("v2_full");
-    let speedup = v1_full.wall_s / v2_full.wall_s;
-    println!(
-        "v2/v1 full-pipeline wall ratio: {:.2}x faster (v1 {:.3}s -> v2 {:.3}s)",
-        speedup, v1_full.wall_s, v2_full.wall_s
-    );
     // Fraction of the uninstrumented throughput that survives
     // summary-mode telemetry (1.0 = free; the floor gate wants ≥0.95).
     // Measured as alternating off/summary pairs, min-of-n each, so
@@ -277,7 +247,7 @@ fn main() {
         chaos_off_frac
     );
 
-    // Orchestration overhead: the same v2 full pipeline driven by the
+    // Orchestration overhead: the same full pipeline driven by the
     // campaign orchestrator — shard planning, in-process supervision,
     // and a sealed checkpoint written at every shard boundary — vs the
     // plain engine call. Same paired median-of-ratios discipline as the
@@ -297,7 +267,6 @@ fn main() {
             amenability_only: base.amenability_only,
             gaps_us: base.gaps_us.clone(),
             reuse: base.reuse,
-            sim_version: base.sim_version,
             shards: campaign_shards,
             jsonl: false,
             // Chaos off, default per-host budget: the overhead arm
@@ -347,12 +316,12 @@ fn main() {
         println!("peak RSS (VmHWM proxy): {} kB", kb);
     }
 
-    // Multi-core scaling: the same v2 full pipeline, summary-only (no
+    // Multi-core scaling: the same full pipeline, summary-only (no
     // sink), at increasing worker counts. Recorded per worker count so
     // the scaling curve is a trajectory, not a claim.
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!();
-    println!("scaling (v2 full, summary-only / funnel-free; {cores} core(s) available):");
+    println!("scaling (full pipeline, summary-only / funnel-free; {cores} core(s) available):");
     rule(84);
     let scaling: Vec<(usize, Row)> = [
         ("scale_w1", 1),
@@ -429,7 +398,7 @@ fn main() {
     let mut json = String::new();
     let _ = write!(
         json,
-        "{{\n  \"scale\": \"{}\",\n  \"hosts\": {hosts},\n  \"seed\": {seed},\n  \"workers\": {workers},\n  \"peak_rss_kb\": {},\n  \"v2_speedup_over_v1\": {speedup:.2},\n  \"configs\": {{\n",
+        "{{\n  \"scale\": \"{}\",\n  \"hosts\": {hosts},\n  \"seed\": {seed},\n  \"workers\": {workers},\n  \"peak_rss_kb\": {},\n  \"configs\": {{\n",
         scale.pick("full", "std", "quick"),
         rss.map_or("null".to_string(), |k| k.to_string()),
     );
@@ -474,25 +443,20 @@ fn main() {
     std::fs::write(&out_path, &json).expect("writing BENCH_campaign.json");
     println!("wrote {out_path}");
 
-    // Regression gate against the checked-in floor, when asked. Both
-    // versions are gated: v2 so the stationary sampler's win cannot
-    // silently erode, v1 so the frozen replay path stays usable.
+    // Regression gate against the checked-in floor, when asked: the
+    // full pipeline and the 20%-hostile arm.
     if let Ok(floor_path) = std::env::var("REORDER_BENCH_FLOOR") {
         let floor_text = std::fs::read_to_string(&floor_path)
             .unwrap_or_else(|e| panic!("reading floor {floor_path}: {e}"));
         let mut failed = false;
-        for (name, row) in [
-            ("v1_full", v1_full),
-            ("v2_full", v2_full),
-            ("v2_chaos20", row("v2_chaos20")),
-        ] {
+        for name in ["v2_full", "v2_chaos20"] {
             let key = format!(
                 "{}_{name}_hosts_per_sec",
                 scale.pick("full", "std", "quick")
             );
             let floor = json_number(&floor_text, &key)
                 .unwrap_or_else(|| panic!("floor {floor_path} missing `{key}`"));
-            let got = row.hosts_per_sec;
+            let got = row(name).hosts_per_sec;
             let limit = floor * 0.7;
             println!(
                 "floor gate [{name}]: {got:.0} hosts/sec vs floor {floor:.0} (fail under {limit:.0})"

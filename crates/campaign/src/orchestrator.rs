@@ -154,8 +154,6 @@ impl ShardRunner for ProcessRunner {
             .arg(spec.rounds.to_string())
             .arg("--technique")
             .arg(spec.technique.to_string())
-            .arg("--sim-version")
-            .arg(spec.sim_version.to_string())
             .arg("--chaos")
             // Shortest-round-trip f64 display: the worker's
             // `(f * 1e6).round()` recovers the exact ppm value.

@@ -10,10 +10,14 @@
 //! they change how fast the bytes arrive, never which bytes.
 
 use reorder_core::jsonx::{self, Value};
-use reorder_core::scenario::SimVersion;
 use reorder_core::telemetry::TelemetryMode;
 use reorder_survey::{Budget, CampaignConfig, PopulationModel, TechniqueChoice};
 use std::time::Duration;
+
+/// The campaign format marker, written as `"sim_version"` so every
+/// fingerprint and checkpoint from before format v1 was retired stays
+/// valid. A spec naming any other format is refused.
+const FORMAT: &str = "2";
 
 /// The output-affecting configuration of one campaign, plus its shard
 /// plan. Field set mirrors [`CampaignConfig`] minus the runtime knobs
@@ -40,8 +44,6 @@ pub struct CampaignSpec {
     /// Share one session across each host's phases (affects the
     /// measurement protocol, hence bytes).
     pub reuse: bool,
-    /// Simulation format version (output differs per version).
-    pub sim_version: SimVersion,
     /// Hostile-host rate in parts per million (the CLI's `--chaos`).
     /// Changes which hosts are hostile, hence bytes.
     pub chaos_ppm: u32,
@@ -74,7 +76,6 @@ impl Default for CampaignSpec {
             amenability_only: base.amenability_only,
             gaps_us: base.gaps_us,
             reuse: base.reuse,
-            sim_version: base.sim_version,
             chaos_ppm: 0,
             deadline_ms: budget.deadline.as_millis() as u64,
             host_retries: budget.max_retries,
@@ -98,7 +99,7 @@ impl CampaignSpec {
         format!(
             "{{\"hosts\":{},\"seed\":{},\"samples\":{},\"rounds\":{},\"technique\":\"{}\",\
              \"baseline\":{},\"amenability_only\":{},\"gaps_us\":[{gaps}],\"reuse\":{},\
-             \"sim_version\":\"{}\",\"chaos_ppm\":{},\"deadline_ms\":{},\"host_retries\":{},\
+             \"sim_version\":\"{FORMAT}\",\"chaos_ppm\":{},\"deadline_ms\":{},\"host_retries\":{},\
              \"backoff_ms\":{},\"shards\":{},\"jsonl\":{}}}",
             self.hosts,
             self.seed,
@@ -108,7 +109,6 @@ impl CampaignSpec {
             self.baseline,
             self.amenability_only,
             self.reuse,
-            self.sim_version,
             self.chaos_ppm,
             self.deadline_ms,
             self.host_retries,
@@ -129,6 +129,12 @@ impl CampaignSpec {
     /// the `spec` member of a checkpoint.
     pub(crate) fn from_value(v: &Value) -> Result<CampaignSpec, String> {
         let flag = |key: &str| v.get(key)?.as_bool().map_err(|e| format!("`{key}`: {e}"));
+        let format = v.get("sim_version")?.as_str()?;
+        if format != FORMAT {
+            return Err(format!(
+                "campaign format `{format}` is not supported (v1 was removed; accepted: {FORMAT})"
+            ));
+        }
         let spec = CampaignSpec {
             hosts: v.int("hosts")?,
             seed: v.int("seed")?,
@@ -144,7 +150,6 @@ impl CampaignSpec {
                 .map(Value::as_int)
                 .collect::<Result<_, _>>()?,
             reuse: flag("reuse")?,
-            sim_version: v.get("sim_version")?.as_str()?.parse()?,
             chaos_ppm: v.int("chaos_ppm")?,
             deadline_ms: v.int("deadline_ms")?,
             host_retries: v.int("host_retries")?,
@@ -179,7 +184,6 @@ impl CampaignSpec {
             amenability_only: self.amenability_only,
             gaps_us: self.gaps_us.clone(),
             reuse: self.reuse,
-            sim_version: self.sim_version,
             telemetry,
             model: PopulationModel {
                 chaos_ppm: self.chaos_ppm,
@@ -211,7 +215,6 @@ mod tests {
             amenability_only: true,
             gaps_us: vec![0, 50, 300],
             reuse: false,
-            sim_version: "1".parse().unwrap(),
             chaos_ppm: 200_000,
             deadline_ms: 45_000,
             host_retries: 2,
@@ -324,5 +327,11 @@ mod tests {
             .to_json()
             .replace("\"technique\":\"auto\"", "\"technique\":\"warp\"");
         assert!(CampaignSpec::from_json(&bad).is_err());
+        // The retired campaign format v1 is refused, not run as v2.
+        let v1 = CampaignSpec::default()
+            .to_json()
+            .replace("\"sim_version\":\"2\"", "\"sim_version\":\"1\"");
+        let e = CampaignSpec::from_json(&v1).unwrap_err();
+        assert!(e.contains("v1 was removed"), "{e}");
     }
 }

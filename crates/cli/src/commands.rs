@@ -7,7 +7,7 @@ use reorder_campaign::{
 };
 use reorder_core::metrics::ReorderEstimate;
 use reorder_core::sample::TestConfig;
-use reorder_core::scenario::{self, SimVersion};
+use reorder_core::scenario;
 use reorder_core::validate::validate_run;
 use reorder_core::{technique, Measurer, Session, TestKind};
 use reorder_netsim::pipes::{ArqConfig, CrossTraffic};
@@ -111,13 +111,6 @@ pub fn measure(args: &Args) -> Result<(), ArgError> {
     }
 }
 
-/// Parse `--sim-version` (campaign format v1 = replayed cross
-/// traffic, v2 = stationary O(1) draws; default 2).
-fn parse_sim_version(args: &Args) -> Result<SimVersion, ArgError> {
-    args.get("sim-version")
-        .map_or(Ok(SimVersion::default()), |v| v.parse().map_err(ArgError))
-}
-
 /// Parse `--workers` for every worker-taking command: `auto` (the
 /// default — resolve to all available cores via
 /// `std::thread::available_parallelism`) or a positive thread count.
@@ -151,7 +144,6 @@ pub fn profile(args: &Args) -> Result<(), ArgError> {
         "max-us",
         "step-us",
         "seed",
-        "sim-version",
         "workers",
         "csv",
     ])?;
@@ -163,7 +155,6 @@ pub fn profile(args: &Args) -> Result<(), ArgError> {
     let max_us: u64 = args.get_or("max-us", 300)?;
     let step_us: u64 = args.get_or("step-us", 25)?.max(1);
     let seed: u64 = args.get_or("seed", 1)?;
-    let sim_version = parse_sim_version(args)?;
     let workers = parse_workers(args)?;
     let csv = args.switch("csv");
 
@@ -188,7 +179,6 @@ pub fn profile(args: &Args) -> Result<(), ArgError> {
                     1_000_000_000,
                     CrossTraffic::backbone(),
                     HostPersonality::freebsd4(),
-                    sim_version,
                     seed + gap,
                 ),
                 "multipath" => scenario::multipath_path(Duration::from_micros(80), seed + gap),
@@ -319,7 +309,6 @@ pub fn survey(args: &Args) -> Result<(), ArgError> {
         "per-host",
         "shard",
         "shard-state",
-        "sim-version",
         "chaos",
         "host-deadline-ms",
         "host-retries",
@@ -356,7 +345,6 @@ pub fn survey(args: &Args) -> Result<(), ArgError> {
         reuse: !args.switch("no-reuse"),
         amenability_only: args.switch("amenability-only"),
         gaps_us: parse_gaps(args.get("gaps-us").unwrap_or(""))?,
-        sim_version: parse_sim_version(args)?,
         shard: args.get("shard").map(parse_shard).transpose()?,
         telemetry,
         progress: args.switch("progress"),
@@ -617,7 +605,6 @@ pub fn campaign(args: &Args) -> Result<(), ArgError> {
         "no-baseline",
         "no-reuse",
         "amenability-only",
-        "sim-version",
         "chaos",
         "host-deadline-ms",
         "host-retries",
@@ -681,7 +668,6 @@ pub fn campaign(args: &Args) -> Result<(), ArgError> {
             "rounds",
             "technique",
             "gaps-us",
-            "sim-version",
             "chaos",
             "host-deadline-ms",
             "host-retries",
@@ -714,7 +700,6 @@ pub fn campaign(args: &Args) -> Result<(), ArgError> {
         amenability_only: args.switch("amenability-only"),
         gaps_us: parse_gaps(args.get("gaps-us").unwrap_or(""))?,
         reuse: !args.switch("no-reuse"),
-        sim_version: parse_sim_version(args)?,
         chaos_ppm: parse_chaos(args)?,
         deadline_ms,
         host_retries,
@@ -1064,23 +1049,28 @@ mod tests {
     }
 
     #[test]
-    fn survey_accepts_both_sim_versions_and_rejects_others() {
-        survey(&parse("survey --hosts 3 --samples 3 --sim-version 1")).expect("v1");
-        survey(&parse("survey --hosts 3 --samples 3 --sim-version 2")).expect("v2");
-        let e = survey(&parse("survey --hosts 3 --sim-version 7")).unwrap_err();
-        assert!(e.0.contains("unknown sim version `7`"), "{e}");
-        assert!(e.0.contains("1, 2"), "error must list accepted set: {e}");
+    fn survey_runs_one_format_and_rejects_sim_version() {
+        survey(&parse("survey --hosts 3 --samples 3")).expect("the one campaign format");
+        // Campaign format v1 is gone, and with it the switch between
+        // formats: naming any version is an unknown flag.
+        let e = survey(&parse("survey --hosts 3 --sim-version 1")).unwrap_err();
+        assert_eq!(e.0, "unknown option --sim-version");
+        let e = campaign(&parse("campaign --dir unused --sim-version 2")).unwrap_err();
+        assert_eq!(e.0, "unknown option --sim-version");
     }
 
     #[test]
-    fn profile_accepts_sim_version() {
-        for v in ["1", "2"] {
-            profile(&parse(&format!(
-                "profile --mechanism striping --samples 20 --max-us 25 --step-us 25 \
-                 --sim-version {v}"
-            )))
-            .expect("profile with sim version");
-        }
+    fn profile_rejects_sim_version() {
+        profile(&parse(
+            "profile --mechanism striping --samples 20 --max-us 25 --step-us 25",
+        ))
+        .expect("striping profile");
+        let e = profile(&parse(
+            "profile --mechanism striping --samples 20 --max-us 25 --step-us 25 \
+             --sim-version 2",
+        ))
+        .unwrap_err();
+        assert_eq!(e.0, "unknown option --sim-version");
     }
 
     #[test]

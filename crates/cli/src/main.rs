@@ -37,8 +37,6 @@ COMMANDS:
                --samples N          per point (default 300)
                --max-us N           sweep upper bound (default 300)
                --step-us N          sweep step (default 25)
-               --sim-version 1|2    cross-traffic model for striping paths
-                                    (1 = replayed, 2 = stationary; default 2)
                --workers auto|N     sweep threads (default auto = all cores;
                                     output is byte-identical regardless)
                --seed S
@@ -67,10 +65,6 @@ COMMANDS:
                --no-reuse           fresh scenario + handshakes per phase
                                     (per-host connection reuse is the default)
                --amenability-only   verdicts only, no measurement
-               --sim-version 1|2    campaign format: 1 = replayed cross
-                                    traffic (historical bytes), 2 = O(1)
-                                    stationary draws (default; ~2x faster);
-                                    output is byte-deterministic per version
                --telemetry MODE     off|summary|full instrumentation
                                     (default off; full adds latency
                                     quantile sketches per span)
@@ -102,7 +96,7 @@ COMMANDS:
                                     via REORDER_FAIL_AFTER_SHARDS (flag wins)
                --workers auto|N     threads per shard run (default auto)
                --hosts/--seed/--samples/--rounds/--technique/--gaps-us/
-               --no-baseline/--no-reuse/--amenability-only/--sim-version
+               --no-baseline/--no-reuse/--amenability-only
                                     as in `survey` (the campaign plan)
                --telemetry MODE, --metrics FILE|-, --progress
                                     as in `survey` (merged across shards)

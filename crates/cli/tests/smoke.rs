@@ -74,29 +74,29 @@ fn measure_is_deterministic_per_seed() {
 }
 
 #[test]
-fn survey_sim_versions_are_deterministic_and_distinct() {
-    let run = |v: &str| {
-        let (stdout, stderr, ok) = reorder(&[
-            "survey",
-            "--hosts",
-            "12",
-            "--samples",
-            "4",
-            "--seed",
-            "5",
-            "--sim-version",
-            v,
-        ]);
-        assert!(ok, "survey --sim-version {v} failed: {stderr}");
+fn survey_is_deterministic_and_rejects_sim_version() {
+    let survey = ["survey", "--hosts", "12", "--samples", "4", "--seed", "5"];
+    let run = || {
+        let (stdout, stderr, ok) = reorder(&survey);
+        assert!(ok, "survey failed: {stderr}");
         stdout
     };
-    // Byte-deterministic per version...
-    assert_eq!(run("1"), run("1"), "v1 must be reproducible");
-    assert_eq!(run("2"), run("2"), "v2 must be reproducible");
-    // ...and the model swap is a declared break, not a no-op: seed 5's
-    // 12-host population draws a striping host whose estimates move, so
-    // the two versions' summaries differ.
-    assert_ne!(run("1"), run("2"), "versions must be distinguishable");
+    assert_eq!(run(), run(), "same seed must reproduce the same report");
+    // Campaign format v1 was retired with the switch between formats:
+    // every command that took `--sim-version` now refuses it.
+    for cmd in [
+        &survey[..],
+        &["profile", "--samples", "4", "--max-us", "0"],
+        &["campaign", "--dir", "unused", "--hosts", "2"],
+    ] {
+        let args = [cmd, &["--sim-version", "2"]].concat();
+        let (_, stderr, ok) = reorder(&args);
+        assert!(!ok, "{args:?} must fail");
+        assert!(
+            stderr.contains("error: unknown option --sim-version"),
+            "{args:?}: {stderr}"
+        );
+    }
 }
 
 #[test]

@@ -1,6 +1,11 @@
 //! Canned simulation scenarios: the controlled validation rig of §IV-A,
 //! the load-balanced and striped paths of §III-C/§IV-C, and the
 //! 50-host Internet-like population of §IV-B.
+//!
+//! Striped paths draw their cross-traffic backlog from the stationary
+//! M/G/1 workload distribution ([`CrossTrafficModel::Stationary`]).
+//! The per-arrival replay stays in `reorder-netsim` only as the test
+//! oracle that sampler is checked against.
 
 use crate::probe::Prober;
 use rand::rngs::SmallRng;
@@ -19,63 +24,22 @@ use reorder_tcpstack::{HostPersonality, TcpHost, TcpHostConfig};
 use reorder_wire::Ipv4Addr4;
 use std::time::Duration;
 
-/// Simulation format version: which model generation a scenario's
-/// stochastic path elements run.
+/// Inert compatibility shim for the retired campaign-format switch
+/// (format v1 ran the per-arrival cross-traffic replay).
 ///
-/// Campaign output is a deterministic function of the configuration,
-/// so swapping a model's RNG-draw pattern is an output break even when
-/// the statistics are preserved. Breaks therefore land as a new
-/// version behind this switch (the survey's `--sim-version` flag), and
-/// the previous version stays constructible so historical reports
-/// remain reproducible byte for byte.
-///
-/// * [`V1`](SimVersion::V1) — the striping pipe replays its Poisson
-///   cross-traffic history per arrival
-///   ([`CrossTrafficModel::Replay`]).
-/// * [`V2`](SimVersion::V2) — the striping pipe draws the backlog from
-///   the stationary M/G/1 workload distribution in O(1)
-///   ([`CrossTrafficModel::Stationary`]); statistically equivalent
-///   (same stationary law, same §IV-C decay within test tolerance) and
-///   ~2x faster on full campaigns. The default.
+/// Campaigns have one cross-traffic model,
+/// [`CrossTrafficModel::Stationary`]. This type and the `sim_version`
+/// fields holding it remain only because the out-of-workspace
+/// benchmark driver still names them; nothing in the workspace reads
+/// them, and they go with the next benchmark change.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SimVersion {
-    /// Campaign format v1: exact per-arrival cross-traffic replay.
-    V1,
-    /// Campaign format v2: O(1) stationary workload draws (default).
-    #[default]
-    V2,
-}
+pub struct SimVersion;
 
 impl SimVersion {
-    /// The cross-traffic backlog model this version runs in
-    /// [`StripingLink`]s.
+    /// The one cross-traffic model campaigns run:
+    /// [`CrossTrafficModel::Stationary`].
     pub fn cross_traffic_model(self) -> CrossTrafficModel {
-        match self {
-            SimVersion::V1 => CrossTrafficModel::Replay,
-            SimVersion::V2 => CrossTrafficModel::Stationary,
-        }
-    }
-}
-
-impl std::fmt::Display for SimVersion {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            SimVersion::V1 => "1",
-            SimVersion::V2 => "2",
-        })
-    }
-}
-
-impl std::str::FromStr for SimVersion {
-    type Err = String;
-
-    /// Accepts the numerals the CLI exposes (`1`/`2`, also `v1`/`v2`).
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "1" | "v1" => Ok(SimVersion::V1),
-            "2" | "v2" => Ok(SimVersion::V2),
-            other => Err(format!("unknown sim version `{other}` (accepted: 1, 2)")),
-        }
+        CrossTrafficModel::Stationary
     }
 }
 
@@ -285,27 +249,17 @@ pub fn load_balanced(
 /// The §IV-C physical-reordering path: probe — N-way striped link with
 /// Poisson cross-traffic — server. Reordering probability decays with
 /// the inter-packet gap; use with [`crate::metrics::GapProfile`].
-/// Runs the default [`SimVersion`] (v2, stationary backlog draws); use
-/// [`striped_path_with`] for v1's replay model.
 pub fn striped_path(cross: CrossTraffic, seed: u64) -> Scenario {
-    striped_path_with(
-        2,
-        1_000_000_000,
-        cross,
-        HostPersonality::freebsd4(),
-        SimVersion::default(),
-        seed,
-    )
+    striped_path_with(2, 1_000_000_000, cross, HostPersonality::freebsd4(), seed)
 }
 
-/// [`striped_path`] with explicit stripe width, per-link rate,
-/// personality and simulation version.
+/// [`striped_path`] with explicit stripe width, per-link rate and
+/// personality.
 pub fn striped_path_with(
     links: usize,
     bits_per_sec: u64,
     cross: CrossTraffic,
     personality: HostPersonality,
-    version: SimVersion,
     seed: u64,
 ) -> Scenario {
     let mut sim = Simulator::new(seed);
@@ -315,7 +269,7 @@ pub fn striped_path_with(
         links,
         bits_per_sec,
         Some(cross),
-        version.cross_traffic_model(),
+        CrossTrafficModel::Stationary,
         seed,
         "stripe",
     )));
@@ -459,8 +413,8 @@ pub struct HostSpec {
     /// (`None` for the cooperative majority). See
     /// [`reorder_netsim::pipes::FaultGate`].
     pub fault: Option<FaultClass>,
-    /// Simulation format version: selects the cross-traffic backlog
-    /// model of striping paths (inert for the other mechanisms).
+    /// Inert compatibility field (see [`SimVersion`]): never read;
+    /// every striping path runs the stationary backlog model.
     pub sim_version: SimVersion,
 }
 
@@ -480,7 +434,7 @@ impl HostSpec {
             object_size: 12 * 1024,
             mechanism: PathMechanism::Dummynet,
             fault: None,
-            sim_version: SimVersion::default(),
+            sim_version: SimVersion,
         }
     }
 }
@@ -540,7 +494,7 @@ pub fn population(popular: usize, random: usize, seed: u64) -> Vec<HostSpec> {
             object_size: 16 * 1024,
             mechanism: PathMechanism::Dummynet,
             fault: None,
-            sim_version: SimVersion::default(),
+            sim_version: SimVersion,
         });
     }
     for i in 0..random {
@@ -570,7 +524,7 @@ pub fn population(popular: usize, random: usize, seed: u64) -> Vec<HostSpec> {
             },
             mechanism: PathMechanism::Dummynet,
             fault: None,
-            sim_version: SimVersion::default(),
+            sim_version: SimVersion,
         });
     }
     specs
@@ -742,7 +696,7 @@ fn build_internet_host(mut sim: Simulator, spec: &HostSpec, taps: bool) -> Scena
             links,
             bits_per_sec,
             Some(CrossTraffic::backbone()),
-            spec.sim_version.cross_traffic_model(),
+            CrossTrafficModel::Stationary,
             seed,
             "stripe",
         )),

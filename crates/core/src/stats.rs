@@ -52,89 +52,6 @@ pub fn z_critical(confidence: f64) -> f64 {
     panic!("untabulated confidence level {confidence}");
 }
 
-/// Online (single-pass) mean/variance accumulator — Welford's
-/// algorithm. Lets a campaign aggregate per-host statistics in O(1)
-/// memory per series instead of retaining every observation.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Streaming {
-    n: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl Streaming {
-    /// Empty accumulator.
-    pub fn new() -> Self {
-        Streaming::default()
-    }
-
-    /// Fold in one observation.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let d = x - self.mean;
-        self.mean += d / self.n as f64;
-        self.m2 += d * (x - self.mean);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Running mean (0 when empty, matching [`mean`]).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Unbiased sample variance (0 for n < 2, matching [`variance`]).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Normal-approximation confidence interval for the mean at a
-    /// tabulated `confidence` level (see [`z_critical`]).
-    pub fn ci(&self, confidence: f64) -> (f64, f64) {
-        if self.n == 0 {
-            return (0.0, 0.0);
-        }
-        let se = self.stddev() / (self.n as f64).sqrt();
-        let z = z_critical(confidence);
-        (self.mean - z * se, self.mean + z * se)
-    }
-
-    /// Combine two accumulators (Chan et al. parallel update). The
-    /// in-process campaign engine absorbs reports in host-id order and
-    /// doesn't need it; this is the merge operation for cross-process
-    /// sharding (concatenating independently aggregated shards — see
-    /// the ROADMAP `--shard K/N` item).
-    pub fn merge(&self, other: &Streaming) -> Streaming {
-        if self.n == 0 {
-            return *other;
-        }
-        if other.n == 0 {
-            return *self;
-        }
-        let n = self.n + other.n;
-        let d = other.mean - self.mean;
-        let mean = self.mean + d * other.n as f64 / n as f64;
-        let m2 = self.m2 + other.m2 + d * d * (self.n as f64 * other.n as f64) / n as f64;
-        Streaming { n, mean, m2 }
-    }
-}
-
 /// Mantissa bits per octave sub-bucket of [`QuantileSketch`]: 2^7 =
 /// 128 log-spaced buckets per power of two.
 const SKETCH_SUB_BITS: u32 = 7;
@@ -378,8 +295,8 @@ const MOMENTS_SCALE: f64 = (1u128 << 80) as f64;
 /// Order-independent streaming moments: count, mean, variance and CI
 /// over a bounded-range series, accumulated as **fixed-point integers**
 /// so that [`Moments::merge`] and [`Moments::push`] commute *exactly* —
-/// unlike [`Streaming`]'s floating-point Welford state, whose merge is
-/// associative only to rounding error.
+/// unlike a floating-point Welford state, whose merge is associative
+/// only to rounding error.
 ///
 /// The campaign aggregation spine needs this stronger law: per-worker
 /// shard aggregators fold whichever hosts the work-stealing scheduler
@@ -631,48 +548,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_matches_batch() {
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let mut s = Streaming::new();
-        for &x in &xs {
-            s.push(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - mean(&xs)).abs() < 1e-12);
-        assert!((s.variance() - variance(&xs)).abs() < 1e-12);
-        let (lo, hi) = s.ci(0.95);
-        assert!(lo < s.mean() && s.mean() < hi);
-        // Empty accumulator mirrors the batch conventions.
-        let e = Streaming::new();
-        assert_eq!(e.mean(), 0.0);
-        assert_eq!(e.variance(), 0.0);
-        assert_eq!(e.ci(0.95), (0.0, 0.0));
-    }
-
-    #[test]
-    fn streaming_merge_matches_single_pass() {
-        let xs: Vec<f64> = (0..100).map(|i| ((i * 37) % 17) as f64 * 0.25).collect();
-        let mut whole = Streaming::new();
-        let mut a = Streaming::new();
-        let mut b = Streaming::new();
-        for (i, &x) in xs.iter().enumerate() {
-            whole.push(x);
-            if i % 3 == 0 {
-                a.push(x);
-            } else {
-                b.push(x);
-            }
-        }
-        let merged = a.merge(&b);
-        assert_eq!(merged.count(), whole.count());
-        assert!((merged.mean() - whole.mean()).abs() < 1e-10);
-        assert!((merged.variance() - whole.variance()).abs() < 1e-10);
-        // Identity element.
-        assert_eq!(whole.merge(&Streaming::new()), whole);
-        assert_eq!(Streaming::new().merge(&whole), whole);
-    }
-
-    #[test]
     fn sketch_quantiles_hit_exact_ranks_within_epsilon() {
         let mut sk = QuantileSketch::new();
         let mut vals: Vec<f64> = (0..1000)
@@ -793,8 +668,8 @@ mod tests {
 
     #[test]
     fn moments_merge_is_partition_invariant_bitwise() {
-        // The law Streaming cannot give: ANY partition of the series
-        // merges to bit-identical state.
+        // The law a float Welford state cannot give: ANY partition of
+        // the series merges to bit-identical state.
         let xs: Vec<f64> = (0..200).map(|i| ((i * 37) % 17) as f64 * 0.25).collect();
         let mut whole = Moments::new();
         for &x in &xs {

@@ -1,5 +1,5 @@
 //! O(1) stationary cross-traffic workload sampler for the striping
-//! pipe — campaign format v2.
+//! pipe — the cross-traffic model every campaign runs.
 //!
 //! The replay model in [`super::striping`] reconstructs every Poisson
 //! cross-traffic burst since a queue's last update (an exact M/G/1
@@ -33,10 +33,11 @@
 //! The draw is O(1) per probe arrival regardless of how long the queue
 //! sat idle — the replay's capped-window worst case (~2,700 pinned
 //! draws per 100 ms window at the backbone rates) disappears. The cost
-//! is a *declared output break*: the RNG stream differs from the
-//! replay's, so campaigns select the model through
-//! [`CrossTrafficModel`] (survey `--sim-version`), and the replay
-//! remains available for byte-compatibility with v1 reports.
+//! is a different RNG stream from the replay's, so the two models never
+//! produce the same bytes. Campaigns run the stationary draw only; the
+//! replay stays selectable through [`CrossTrafficModel`] as the exact
+//! reference the equivalence tests, the pipe properties and the
+//! primitives bench compare against.
 
 use super::striping::CrossTraffic;
 use rand::rngs::SmallRng;
@@ -49,21 +50,22 @@ use rand::Rng;
 /// equivalence tests); they differ in how the backlog seen by a probe
 /// is produced, and therefore in their RNG streams and cost:
 ///
-/// * [`Replay`](CrossTrafficModel::Replay) — campaign v1: lazily
+/// * [`Replay`](CrossTrafficModel::Replay) — the test oracle: lazily
 ///   replay every Poisson burst since the queue's last update. Exact
 ///   sample paths (bursts persist across arrivals), O(λ·window) draws
 ///   per arrival.
-/// * [`Stationary`](CrossTrafficModel::Stationary) — campaign v2: draw
+/// * [`Stationary`](CrossTrafficModel::Stationary) — what campaigns run: draw
 ///   the backlog directly from the stationary workload distribution.
 ///   O(1) draws per arrival; successive backlogs are independent
 ///   (which is also what the replay converges to once arrivals are
 ///   separated by more than the ~1/η relaxation time).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CrossTrafficModel {
-    /// Per-arrival Poisson burst replay (campaign v1).
+    /// Per-arrival Poisson burst replay (the stationary sampler's test
+    /// oracle).
     Replay,
-    /// Stationary Pollaczek–Khinchine workload draw (campaign v2, the
-    /// default).
+    /// Stationary Pollaczek–Khinchine workload draw (the default, and
+    /// the one model campaigns run).
     #[default]
     Stationary,
 }

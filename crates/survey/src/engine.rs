@@ -59,13 +59,9 @@ pub struct CampaignConfig {
     /// [`ScenarioPool`]. On by default; off is `exp_scale`'s ablation
     /// arm (byte-identical output, fresh construction per host).
     pub pool: bool,
-    /// Simulation format version (the CLI's `--sim-version`): v2
-    /// (default) draws striping cross-traffic backlogs from the
-    /// stationary M/G/1 workload distribution in O(1); v1 replays the
-    /// Poisson burst history per arrival, reproducing pre-v2 campaign
-    /// bytes. Output is byte-deterministic *per version* (the
-    /// versions' reports intentionally differ — a declared output
-    /// break).
+    /// Inert compatibility field (see [`SimVersion`]): never read.
+    /// Campaigns have one format; striping hosts draw their
+    /// cross-traffic backlog from the stationary M/G/1 distribution.
     pub sim_version: SimVersion,
     /// Telemetry mode: `Off` (default) measures nothing; `Summary`
     /// collects counters and phase-span moments; `Full` adds
@@ -123,7 +119,7 @@ impl Default for CampaignConfig {
             gaps_us: Vec::new(),
             reuse: true,
             pool: true,
-            sim_version: SimVersion::default(),
+            sim_version: SimVersion,
             telemetry: TelemetryMode::Off,
             progress: false,
             shard: None,
@@ -238,11 +234,7 @@ where
                 payload: &mut P,
                 i: usize| {
         let id = (lo + i) as u64;
-        let mut spec = cfg.model.host(id, cfg.seed);
-        // The version is configuration, not population: stamp it after
-        // generation so v1 and v2 campaigns draw identical host specs
-        // from identical RNG streams.
-        spec.sim_version = cfg.sim_version;
+        let spec = cfg.model.host(id, cfg.seed);
         let host_seed = simrng::derive_seed(cfg.seed, &format!("survey.run.{id}"));
         let report = survey_host_traced(id, &spec, host_seed, job, pool, tel);
         agg.absorb(&report);

@@ -82,7 +82,6 @@ pub use engine::{run_campaign, run_campaign_with, shard_bounds, CampaignConfig, 
 pub use metrics::{CampaignTelemetry, METRICS_SCHEMA};
 pub use pipeline::{HostJob, HostOutcome, HostReport, TechniqueChoice};
 pub use population::PopulationModel;
-pub use reorder_core::scenario::SimVersion;
 pub use reorder_core::telemetry::{TelemetryMode, WorkerTelemetry};
 pub use reorder_core::{Budget, HostErrorKind};
 pub use state::{run_shard, seal, unseal, ShardState, SHARD_SCHEMA};

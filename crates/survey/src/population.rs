@@ -217,10 +217,8 @@ impl PopulationModel {
             object_size,
             mechanism,
             fault,
-            // Not drawn: the campaign engine stamps its configured
-            // version on every spec (no RNG involved, so v1 and v2
-            // populations are otherwise identical).
-            sim_version: SimVersion::default(),
+            // Inert compatibility field; not drawn.
+            sim_version: SimVersion,
         }
     }
 }

@@ -1,11 +1,10 @@
 //! The campaign engine's headline guarantee: a campaign's output is a
 //! pure function of its config — the worker count changes wall-clock
-//! time, never a byte of the report. Since campaign format v2 the
-//! config includes the simulation version: output is byte-identical
-//! per version (v1's replayed cross traffic, v2's stationary draws),
-//! and the versions intentionally differ from each other.
+//! time, never a byte of the report.
 
-use reorder_survey::{run_campaign, CampaignConfig, SimVersion, TechniqueChoice};
+use reorder_survey::{
+    run_campaign, CampaignConfig, CampaignOutcome, TechniqueChoice, TelemetryMode,
+};
 
 fn campaign_jsonl(hosts: usize, workers: usize, seed: u64) -> (Vec<u8>, String) {
     let cfg = CampaignConfig {
@@ -139,20 +138,19 @@ fn pooled_and_fresh_construction_are_byte_identical() {
     assert_eq!(stitched, fresh, "pooled shards vs fresh whole");
 }
 
-/// Per-version determinism, the campaign v2 contract: under either
-/// `--sim-version`, the report is byte-identical across worker counts,
-/// shard splits and simulator pooling. (The striping-heavy model makes
-/// sure both cross-traffic models are actually exercised.)
+/// The campaign format's determinism contract, on a striping-heavy
+/// population so the stationary cross-traffic draws are exercised:
+/// the report is byte-identical across worker counts, shard splits
+/// and simulator pooling.
 #[test]
 fn each_sim_version_is_deterministic_across_workers_shards_and_pool() {
-    let run = |v: SimVersion, workers: usize, pool: bool, shard: Option<(usize, usize)>| {
+    let run = |workers: usize, pool: bool, shard: Option<(usize, usize)>| {
         let cfg = CampaignConfig {
             hosts: 48,
             workers,
             seed: 14,
             samples: 4,
             pool,
-            sim_version: v,
             shard,
             ..CampaignConfig::default()
         };
@@ -160,57 +158,23 @@ fn each_sim_version_is_deterministic_across_workers_shards_and_pool() {
         let out = run_campaign(&cfg, Some(&mut buf)).expect("in-memory sink");
         (buf, out.summary.render())
     };
-    for version in [SimVersion::V1, SimVersion::V2] {
-        let (whole, summary) = run(version, 1, true, None);
-        // Workers must not change a byte.
-        assert_eq!(
-            run(version, 6, true, None),
-            (whole.clone(), summary.clone()),
-            "v{version}"
-        );
-        // Pooling must not change a byte.
-        assert_eq!(run(version, 2, false, None).0, whole, "v{version} pool");
-        // Concatenated shards must reproduce the whole report.
-        let mut stitched = Vec::new();
-        for k in 1..=3 {
-            stitched.extend(run(version, 2, true, Some((k, 3))).0);
-        }
-        assert_eq!(stitched, whole, "v{version} shards");
+    let (whole, summary) = run(1, true, None);
+    // The seed must draw striping hosts, or the check proves nothing
+    // about the cross-traffic model.
+    assert!(
+        String::from_utf8_lossy(&whole).contains("\"mechanism\":\"striping\""),
+        "seed 14 must draw at least one striping host"
+    );
+    // Workers must not change a byte.
+    assert_eq!(run(6, true, None), (whole.clone(), summary.clone()));
+    // Pooling must not change a byte.
+    assert_eq!(run(2, false, None), (whole.clone(), summary), "pool");
+    // Concatenated shards must reproduce the whole report.
+    let mut stitched = Vec::new();
+    for k in 1..=3 {
+        stitched.extend(run(2, true, Some((k, 3))).0);
     }
-}
-
-/// The model swap is a *declared* output break: same config, different
-/// `--sim-version`, different bytes (only striping hosts' lines move —
-/// the other mechanisms draw no cross traffic).
-#[test]
-fn sim_versions_differ_only_where_striping_draws() {
-    let run = |v: SimVersion| {
-        let cfg = CampaignConfig {
-            hosts: 48,
-            workers: 2,
-            seed: 14,
-            samples: 4,
-            sim_version: v,
-            ..CampaignConfig::default()
-        };
-        let mut buf = Vec::new();
-        run_campaign(&cfg, Some(&mut buf)).expect("in-memory sink");
-        String::from_utf8(buf).expect("JSONL is UTF-8")
-    };
-    let v1 = run(SimVersion::V1);
-    let v2 = run(SimVersion::V2);
-    assert_ne!(v1, v2, "the versions must be distinguishable");
-    let mut changed = 0;
-    for (a, b) in v1.lines().zip(v2.lines()) {
-        if a != b {
-            changed += 1;
-            assert!(
-                a.contains("\"mechanism\":\"striping\""),
-                "only striping hosts may move between versions: {a}"
-            );
-        }
-    }
-    assert!(changed > 0, "seed 14 must draw at least one striping host");
+    assert_eq!(stitched, whole, "shards");
 }
 
 /// FNV-1a 64 over a byte stream — the pinned-golden fingerprint.
@@ -223,68 +187,44 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// The pinned v1 smoke: campaign format v1 keeps historical reports
-/// reproducible, so its bytes for a reference config are pinned by
-/// hash, not merely compared run-to-run. Pinned at the v2 landing
-/// (after the Poisson-underflow bugfix — the one declared v1 change:
-/// capped replay windows ran Knuth's method past the `exp(-λ)`
-/// underflow and drew counts biased ~17% low; see
-/// `striping::poisson`). Re-bless deliberately, never casually: these
-/// constants are what makes a v1 report from one build comparable to
-/// another's.
-#[test]
-fn pinned_v1_smoke_reproduces_historical_bytes() {
-    // Re-blessed at the hostile-host landing: every JSONL line gained
-    // an `"outcome"` field (complete/degraded/failed classification)
-    // and the summary footer a failures line plus failure-taxonomy
-    // table — a declared output break. Measurement bytes (verdicts,
-    // rates, samples) did not move; only the new fields landed.
-    const PINNED_JSONL_FNV1A: u64 = 0xefe4_4878_dd8c_5ac2;
-    const PINNED_SUMMARY_FNV1A: u64 = 0xe2cc_5706_f46d_21ae;
+/// The JSONL bytes of the pinned reference config (40 hosts, 2
+/// workers, seed 1, stationary cross-traffic draws).
+const PINNED_JSONL_FNV1A: u64 = 0x5834_53a5_b0b1_1bf7;
+/// The rendered summary bytes of the same reference config.
+const PINNED_SUMMARY_FNV1A: u64 = 0xc36a_7952_5db8_fd2c;
+
+/// Run the pinned reference config and hash its JSONL and summary.
+fn pinned_reference(telemetry: TelemetryMode) -> (u64, u64, CampaignOutcome) {
     let cfg = CampaignConfig {
         hosts: 40,
         workers: 2,
         seed: 1,
-        sim_version: SimVersion::V1,
+        telemetry,
         ..CampaignConfig::default()
     };
     let mut buf = Vec::new();
     let out = run_campaign(&cfg, Some(&mut buf)).expect("in-memory sink");
-    assert_eq!(
-        fnv1a64(&buf),
-        PINNED_JSONL_FNV1A,
-        "v1 JSONL bytes moved — campaign v1 is the frozen format; if this \
-         is an intended declared break, re-bless the pinned hashes"
-    );
-    assert_eq!(
-        fnv1a64(out.summary.render().as_bytes()),
-        PINNED_SUMMARY_FNV1A,
-        "v1 summary bytes moved — campaign v1 is the frozen format"
-    );
+    (fnv1a64(&buf), fnv1a64(out.summary.render().as_bytes()), out)
 }
 
-/// The pinned v2 smoke: the same reference config under `--sim-version
-/// 2` (stationary cross-traffic draws). Captured immediately before
-/// the sharded-aggregation refactor, so it proves the funnel rework
-/// did not move a byte of the current-format JSONL either.
+/// The pinned smoke: the campaign format's bytes for a reference
+/// config are pinned by hash, not merely compared run-to-run. The
+/// JSONL pin dates from the hostile-host landing (every line gained an
+/// `"outcome"` field, a declared break); the summary pin was captured
+/// when campaign format v1 was retired, from the build before it.
+/// Re-bless deliberately, never casually: these constants are what
+/// makes a report from one build comparable to another's.
 #[test]
 fn pinned_v2_smoke_reproduces_historical_bytes() {
-    // Re-blessed at the hostile-host landing (new `"outcome"` JSONL
-    // field), same declared break as the v1 pin above.
-    const PINNED_JSONL_FNV1A: u64 = 0x5834_53a5_b0b1_1bf7;
-    let cfg = CampaignConfig {
-        hosts: 40,
-        workers: 2,
-        seed: 1,
-        sim_version: SimVersion::V2,
-        ..CampaignConfig::default()
-    };
-    let mut buf = Vec::new();
-    run_campaign(&cfg, Some(&mut buf)).expect("in-memory sink");
+    let (jsonl, summary, _) = pinned_reference(TelemetryMode::Off);
     assert_eq!(
-        fnv1a64(&buf),
-        PINNED_JSONL_FNV1A,
-        "v2 JSONL bytes moved — if this is an intended declared break, \
+        jsonl, PINNED_JSONL_FNV1A,
+        "JSONL bytes moved — if this is an intended declared break, \
+         re-bless the pinned hash"
+    );
+    assert_eq!(
+        summary, PINNED_SUMMARY_FNV1A,
+        "summary bytes moved — if this is an intended declared break, \
          re-bless the pinned hash"
     );
 }
@@ -358,38 +298,23 @@ fn merged_shard_summaries_equal_the_unsharded_summary() {
     assert_eq!(merged.hosts, whole.hosts);
 }
 
-/// Telemetry observes, never participates: the pinned v1/v2 reference
+/// Telemetry observes, never participates: the pinned reference
 /// bytes must not move under `Full` instrumentation — the strongest
 /// form of the "`--metrics` changes no output byte" contract, checked
-/// against the frozen-format hashes rather than a sibling run.
+/// against the pinned hashes rather than a sibling run.
 #[test]
 fn full_telemetry_reproduces_the_pinned_bytes() {
-    use reorder_survey::TelemetryMode;
-    for (version, pinned) in [
-        (SimVersion::V1, 0xefe4_4878_dd8c_5ac2_u64),
-        (SimVersion::V2, 0x5834_53a5_b0b1_1bf7_u64),
-    ] {
-        let cfg = CampaignConfig {
-            hosts: 40,
-            workers: 2,
-            seed: 1,
-            sim_version: version,
-            telemetry: TelemetryMode::Full,
-            ..CampaignConfig::default()
-        };
-        let mut buf = Vec::new();
-        let out = run_campaign(&cfg, Some(&mut buf)).expect("in-memory sink");
-        assert_eq!(
-            fnv1a64(&buf),
-            pinned,
-            "{version:?}: telemetry must not change a byte of the report"
-        );
-        // And it did actually record: every host leaves a span.
-        assert_eq!(
-            out.telemetry.merged().span_stats("host").map(|s| s.count()),
-            Some(40)
-        );
-    }
+    let (jsonl, summary, out) = pinned_reference(TelemetryMode::Full);
+    assert_eq!(
+        (jsonl, summary),
+        (PINNED_JSONL_FNV1A, PINNED_SUMMARY_FNV1A),
+        "telemetry must not change a byte of the report"
+    );
+    // And it did actually record: every host leaves a span.
+    assert_eq!(
+        out.telemetry.merged().span_stats("host").map(|s| s.count()),
+        Some(40)
+    );
 }
 
 /// The reuse-off (per-phase scenario) protocol builds many scenarios

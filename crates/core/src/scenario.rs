@@ -551,6 +551,7 @@ pub struct ScenarioPool {
     enabled: bool,
     events: u64,
     overflow: u64,
+    stage_passes: u64,
     recycled: u64,
     fresh: u64,
 }
@@ -563,6 +564,7 @@ impl ScenarioPool {
             enabled: true,
             events: 0,
             overflow: 0,
+            stage_passes: 0,
             recycled: 0,
             fresh: 0,
         }
@@ -609,6 +611,14 @@ impl ScenarioPool {
         self.overflow
     }
 
+    /// Cut-through stage passes absorbed from recycled scenarios so far
+    /// ([`Simulator::stage_passes`]): the hops toward the prober that
+    /// the simulator applied without dispatching an event, banked next
+    /// to the event count so the two together account for every hop.
+    pub fn stage_passes_absorbed(&self) -> u64 {
+        self.stage_passes
+    }
+
     fn checkout(&mut self, seed: u64) -> Simulator {
         match self.sim.take() {
             Some(mut sim) if self.enabled => {
@@ -631,6 +641,7 @@ impl ScenarioPool {
         let sim = scenario.prober.into_sim();
         self.events += sim.events_processed();
         self.overflow += sim.overflow_events();
+        self.stage_passes += sim.stage_passes();
         if self.enabled {
             self.sim = Some(sim);
         }

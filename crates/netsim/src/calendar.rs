@@ -42,7 +42,7 @@ const NBUCKETS: usize = 256;
 const NWORDS: usize = NBUCKETS / 64;
 
 /// One scheduled item: the key `(time, seq)` plus the payload.
-struct Entry<T> {
+pub(crate) struct Entry<T> {
     time: SimTime,
     seq: u64,
     item: T,
@@ -77,6 +77,14 @@ fn bucket_of(time: SimTime) -> u64 {
 
 fn slot_of(bucket: u64) -> usize {
     bucket as usize & (NBUCKETS - 1)
+}
+
+/// The smaller of two optional keys.
+fn earliest(a: Option<(SimTime, u64)>, b: Option<(SimTime, u64)>) -> Option<(SimTime, u64)> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
+    }
 }
 
 /// A calendar queue yielding items in exact `(time, seq)` order.
@@ -212,21 +220,27 @@ impl<T> CalendarQueue<T> {
         if let Some(k) = self.min_cache.get() {
             return Some(k);
         }
-        let wheel = self.first_bucket().map(|b| {
+        let wheel = self.first_bucket().and_then(|b| {
             let bucket = &self.buckets[slot_of(b)];
             if self.sorted_bucket == Some(b) {
-                bucket.last().expect("non-empty").key()
+                bucket.last().map(Entry::key)
             } else {
-                bucket.iter().map(Entry::key).min().expect("non-empty")
+                bucket.iter().map(Entry::key).min()
             }
         });
-        let over = self.overflow.peek().map(|Reverse(e)| e.key());
-        let min = match (wheel, over) {
-            (Some(w), Some(o)) => Some(w.min(o)),
-            (w, o) => w.or(o),
-        };
+        let min = earliest(wheel, self.overflow_key());
         self.min_cache.set(min);
         min
+    }
+
+    /// Remove and return the earliest entry as `(time, seq, item)` if
+    /// its time is at most `horizon` — the event loop's peek-then-pop
+    /// in one call.
+    pub fn pop_due(&mut self, horizon: SimTime) -> Option<(SimTime, u64, T)> {
+        match self.peek_key() {
+            Some((time, _)) if time <= horizon => self.pop(),
+            _ => None,
+        }
     }
 
     /// Remove and return the earliest entry as `(time, seq, item)`.
@@ -237,47 +251,47 @@ impl<T> CalendarQueue<T> {
         if self.wheel_len == 0 {
             self.migrate_overflow();
         }
-        let wheel_key = if self.wheel_len > 0 {
-            self.advance_cursor();
-            let s = slot_of(self.cur);
-            if self.sorted_bucket != Some(self.cur) {
-                // First visit since the bucket filled: one sort, then
-                // pops come off the back in order.
-                self.buckets[s].sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
-                self.sorted_bucket = Some(self.cur);
-            }
-            Some(self.buckets[s].last().expect("advance found entries").key())
-        } else {
-            None
+        let wheel_key = self.sort_front_bucket();
+        let from_overflow = match (wheel_key, self.overflow_key()) {
+            (Some(w), Some(o)) => o < w,
+            (None, o) => o.is_some(),
+            (Some(_), None) => false,
         };
-        let from_overflow = match (wheel_key, self.overflow.peek()) {
-            (Some(w), Some(Reverse(o))) => o.key() < w,
-            (None, Some(_)) => true,
-            _ => false,
-        };
-        self.len -= 1;
         self.min_cache.set(None);
         if from_overflow {
-            let Reverse(e) = self.overflow.pop().expect("peeked");
+            let Reverse(e) = self.overflow.pop()?;
+            self.len -= 1;
             return Some((e.time, e.seq, e.item));
         }
         let s = slot_of(self.cur);
-        let e = self.buckets[s].pop().expect("checked");
+        let e = self.buckets[s].pop()?;
+        self.len -= 1;
         self.wheel_len -= 1;
         if self.buckets[s].is_empty() {
             self.occupancy[s / 64] &= !(1 << (s % 64));
         } else {
             // The bucket stays sorted, so the next minimum is known.
-            self.min_cache.set(Some(
-                self.buckets[s].last().expect("non-empty").key().min(
-                    self.overflow
-                        .peek()
-                        .map(|Reverse(o)| o.key())
-                        .unwrap_or((SimTime::MAX, u64::MAX)),
-                ),
-            ));
+            let next = self.buckets[s].last().map(Entry::key);
+            self.min_cache.set(earliest(next, self.overflow_key()));
         }
         Some((e.time, e.seq, e.item))
+    }
+
+    /// Move the cursor to the first non-empty bucket, sort it on the
+    /// first visit since it filled (pops then come off the back in
+    /// order), and return its earliest key; `None` on an empty wheel.
+    fn sort_front_bucket(&mut self) -> Option<(SimTime, u64)> {
+        self.cur = self.first_bucket()?;
+        let bucket = &mut self.buckets[slot_of(self.cur)];
+        if self.sorted_bucket != Some(self.cur) {
+            bucket.sort_unstable_by_key(|e| Reverse(e.key()));
+            self.sorted_bucket = Some(self.cur);
+        }
+        bucket.last().map(Entry::key)
+    }
+
+    fn overflow_key(&self) -> Option<(SimTime, u64)> {
+        self.overflow.peek().map(|Reverse(e)| e.key())
     }
 
     /// Absolute bucket of the earliest non-empty ring slot, if any.
@@ -309,14 +323,6 @@ impl<T> CalendarQueue<T> {
         None
     }
 
-    /// Move the cursor to the first non-empty bucket (wheel_len > 0).
-    fn advance_cursor(&mut self) {
-        let next = self.first_bucket().expect("wheel_len > 0");
-        if next != self.cur {
-            self.cur = next;
-        }
-    }
-
     /// The wheel is empty: re-anchor the window at the overflow's
     /// earliest entry and pull everything now inside it into the ring.
     fn migrate_overflow(&mut self) {
@@ -326,11 +332,14 @@ impl<T> CalendarQueue<T> {
         self.cur = bucket_of(first.time);
         self.sorted_bucket = None;
         let window_end = self.cur + NBUCKETS as u64;
-        while let Some(Reverse(e)) = self.overflow.peek() {
-            if bucket_of(e.time) >= window_end {
+        while self
+            .overflow
+            .peek()
+            .is_some_and(|Reverse(e)| bucket_of(e.time) < window_end)
+        {
+            let Some(Reverse(e)) = self.overflow.pop() else {
                 break;
-            }
-            let Reverse(e) = self.overflow.pop().expect("peeked");
+            };
             let s = slot_of(bucket_of(e.time));
             self.buckets[s].push(e);
             self.occupancy[s / 64] |= 1 << (s % 64);

@@ -1,9 +1,53 @@
 //! The discrete-event engine: nodes, ports, links, timers, taps.
 //!
-//! Determinism is a hard requirement — every experiment in the paper is
-//! reproduced from a seed — so the event queue breaks time ties by
-//! insertion order, devices draw randomness only from labeled streams
-//! (see [`crate::rng`]), and nothing reads the host clock.
+//! # Determinism contract
+//!
+//! Every experiment in the paper is reproduced from a seed, so a run is
+//! a pure function of its topology, its seed and the calls made on the
+//! [`Simulator`]. Events fire in `(time, seq)` order, where `seq` is the
+//! push sequence number, so time ties break by insertion order; devices
+//! draw randomness only from labeled streams (see [`crate::rng`]); and
+//! nothing reads the host clock.
+//!
+//! # Stages, sinks and cut-through
+//!
+//! Most packets a campaign simulates travel from the target host back
+//! to the prober through devices that merely drop or delay them. The
+//! engine shortcuts those hops instead of scheduling an event at each.
+//!
+//! * A **stage** is a device whose effect on a packet depends only on
+//!   the port it arrived on and on earlier packets from that port —
+//!   never on the clock, on the other direction, or on timers. It says
+//!   so through [`Device::stage_exit`] and applies its one decision
+//!   function through [`Device::stage_pass`]. [`crate::pipes::RandomLoss`]
+//!   and [`crate::pipes::Forwarder`] are stages, and
+//!   [`crate::pipes::DelayJitter`] is one when its delay is constant.
+//! * A **sink** is a device that emits no actions (no transmissions, no
+//!   timers) and has exactly one wired port: the prober's
+//!   [`crate::Mailbox`] ([`Device::is_sink`]).
+//!
+//! When a link delivers into a stage whose forwarding chain ends at a
+//! sink, and no stage on that chain has a capture tap, the engine
+//! applies the whole chain at transmit time: each stage decides at the
+//! packet's *virtual* arrival time, each onward link is offered the
+//! packet at that virtual time, and only the final delivery to the sink
+//! is scheduled. This is exact:
+//!
+//! * each stage's per-port decisions (and random draws) happen in the
+//!   same FIFO order as when evented, because every link on the chain
+//!   is FIFO and only that chain feeds it;
+//! * each link direction sees the same offers, at the same times, in
+//!   the same order, so serialization and queueing are unchanged;
+//! * the sink's delivery lands at the same time; it pushes nothing, and
+//!   the mailbox is read only between [`Simulator::run_until`] calls,
+//!   after every event at an instant has fired — so where the delivery
+//!   falls among same-nanosecond events cannot be observed.
+//!
+//! Chains toward anything else stay evented: a stateful device (a TCP
+//! host, the reordering pipes) may react to the relative order of
+//! same-instant events, which a cut would change. A cut pass is counted
+//! by [`Simulator::stage_passes`], next to the dispatched events of
+//! [`Simulator::events_processed`].
 
 use crate::calendar::CalendarQueue;
 use crate::capture::{Dir, TraceHandle, TraceRecord};
@@ -37,6 +81,31 @@ pub trait Device {
     /// Diagnostic name.
     fn name(&self) -> &str {
         "device"
+    }
+
+    /// The port a packet arriving on `port` leaves by, when this device
+    /// is a *stage* for that port (see the module docs): its effect on
+    /// the packet depends only on `port` and on earlier packets from
+    /// it. `None` (the default) keeps every arrival evented. Must not
+    /// change once the device is wired.
+    fn stage_exit(&self, _port: Port) -> Option<Port> {
+        None
+    }
+
+    /// Apply the stage decision to one packet arriving on `port`: the
+    /// delay before it leaves by [`Device::stage_exit`], or `None` when
+    /// the stage drops it. Called instead of [`Device::on_packet`] on
+    /// cut-through paths, only for ports with a `stage_exit`; it must
+    /// be the decision `on_packet` applies, with the same state updates.
+    fn stage_pass(&mut self, _port: Port) -> Option<Duration> {
+        None
+    }
+
+    /// Whether this device is a *sink*: it never transmits or sets a
+    /// timer. A sink with exactly one wired port ends cut-through
+    /// chains (see the module docs).
+    fn is_sink(&self) -> bool {
+        false
     }
 }
 
@@ -79,24 +148,69 @@ impl Ctx<'_> {
     }
 }
 
+/// A calendar entry's payload. Deliveries name a [`PacketSlab`] slot
+/// rather than carrying the packet, so the queue moves 40-byte entries
+/// on every push, bucket sort and sorted insert.
 #[derive(Debug)]
 enum EventKind {
-    Deliver {
-        node: NodeId,
-        port: Port,
-        pkt: Packet,
-    },
-    Timer {
-        node: NodeId,
-        token: u64,
-    },
+    Deliver(usize),
+    Timer { node: NodeId, token: u64 },
+}
+
+/// A packet in flight on a link, with the node and port it arrives at.
+struct Parcel {
+    node: NodeId,
+    port: Port,
+    pkt: Packet,
+}
+
+/// The parcels of pending deliveries, addressed by slot. Freed slots
+/// are reused, and [`PacketSlab::clear`] keeps the allocation, so a
+/// pooled simulator runs without touching the allocator.
+#[derive(Default)]
+struct PacketSlab {
+    slots: Vec<Option<Parcel>>,
+    free: Vec<usize>,
+}
+
+impl PacketSlab {
+    fn insert(&mut self, parcel: Parcel) -> usize {
+        match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot] = Some(parcel);
+                slot
+            }
+            None => {
+                self.slots.push(Some(parcel));
+                self.slots.len() - 1
+            }
+        }
+    }
+
+    fn take(&mut self, slot: usize) -> Option<Parcel> {
+        let parcel = self.slots.get_mut(slot)?.take()?;
+        self.free.push(slot);
+        Some(parcel)
+    }
+
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
+
+    fn clear(&mut self) {
+        self.slots.clear();
+        self.free.clear();
+    }
 }
 
 /// The simulator: owns every device, link and pending event.
 ///
 /// Hot-path layout: events live in a calendar queue (the private
-/// `calendar` module); links and taps are dense per-node tables
-/// indexed by `NodeId`/`Port`, so the per-event path does no hashing.
+/// `calendar` module) as small entries whose packets wait in a slab;
+/// links and taps are dense per-node tables indexed by `NodeId`/`Port`,
+/// so the per-event path does no hashing. Links into cut-through
+/// chains (see the module docs) are marked once per topology change.
 /// [`Simulator::reset`] recycles every allocation for the next run —
 /// the pooling fast path campaign workers ride.
 pub struct Simulator {
@@ -108,11 +222,16 @@ pub struct Simulator {
     /// `links[node][port]` — dense, grown by `connect_asym`.
     links: Vec<Vec<Option<LinkEndpoint>>>,
     queue: CalendarQueue<EventKind>,
+    packets: PacketSlab,
     /// `rx_taps[node]` / `tx_taps[node]` — dense, grown by `add_node`.
     rx_taps: Vec<Vec<TraceHandle>>,
     tx_taps: Vec<Vec<TraceHandle>>,
     scratch: Vec<Action>,
     events: u64,
+    stage_passes: u64,
+    /// Set by every topology change; the next transmit re-marks which
+    /// links cut through.
+    replan: bool,
     /// Count of packets dropped by full link queues (all links).
     pub link_drops: u64,
 }
@@ -120,6 +239,9 @@ pub struct Simulator {
 struct LinkEndpoint {
     peer: (NodeId, Port),
     state: LinkState,
+    /// The peer is a stage whose chain ends at a sink: apply it at
+    /// transmit time instead of scheduling a delivery to it.
+    cut: bool,
 }
 
 impl Simulator {
@@ -134,17 +256,20 @@ impl Simulator {
             names: Vec::new(),
             links: Vec::new(),
             queue: CalendarQueue::new(),
+            packets: PacketSlab::default(),
             rx_taps: Vec::new(),
             tx_taps: Vec::new(),
             scratch: Vec::new(),
             events: 0,
+            stage_passes: 0,
+            replan: false,
             link_drops: 0,
         }
     }
 
     /// Return the simulator to the just-constructed state under a new
     /// master seed, retaining every allocation (event-queue buckets,
-    /// node/link/tap tables, scratch). A reset simulator is
+    /// packet slab, node/link/tap tables, scratch). A reset simulator is
     /// indistinguishable from `Simulator::new(seed)` to everything
     /// built on it — the pooled-construction determinism tests assert
     /// byte-identical campaign output — but skips the allocator.
@@ -156,9 +281,12 @@ impl Simulator {
         self.names.clear();
         self.links.clear();
         self.queue.clear();
+        self.packets.clear();
         self.rx_taps.clear();
         self.tx_taps.clear();
         self.events = 0;
+        self.stage_passes = 0;
+        self.replan = false;
         self.link_drops = 0;
     }
 
@@ -167,6 +295,14 @@ impl Simulator {
     /// perf harness.
     pub fn events_processed(&self) -> u64 {
         self.events
+    }
+
+    /// Stage passes applied on cut-through chains since construction
+    /// (or the last [`Simulator::reset`]): hops that would each have
+    /// been a dispatched delivery (plus a timer, for a delay stage) had
+    /// the chain been evented. See the module docs.
+    pub fn stage_passes(&self) -> u64 {
+        self.stage_passes
     }
 
     /// Events currently queued (diagnostics).
@@ -202,6 +338,7 @@ impl Simulator {
         self.links.push(Vec::new());
         self.rx_taps.push(Vec::new());
         self.tx_taps.push(Vec::new());
+        self.replan = true;
         id
     }
 
@@ -243,7 +380,9 @@ impl Simulator {
         ports[port.0] = Some(LinkEndpoint {
             peer: (to, to_port),
             state: LinkState::new(params),
+            cut: false,
         });
+        self.replan = true;
     }
 
     /// Record every packet *delivered to* `node` (any port) into the
@@ -251,6 +390,7 @@ impl Simulator {
     pub fn tap_rx(&mut self, node: NodeId) -> TraceHandle {
         let h: TraceHandle = Rc::new(RefCell::new(Vec::new()));
         self.rx_taps[node.0].push(h.clone());
+        self.replan = true;
         h
     }
 
@@ -260,6 +400,7 @@ impl Simulator {
     pub fn tap_tx(&mut self, node: NodeId) -> TraceHandle {
         let h: TraceHandle = Rc::new(RefCell::new(Vec::new()));
         self.tx_taps[node.0].push(h.clone());
+        self.replan = true;
         h
     }
 
@@ -287,11 +428,7 @@ impl Simulator {
     /// `horizon`; the clock then advances to `horizon` (so repeated calls
     /// make steady progress even with no traffic).
     pub fn run_until(&mut self, horizon: SimTime) {
-        while let Some((t, _)) = self.queue.peek_key() {
-            if t > horizon {
-                break;
-            }
-            let (time, _, kind) = self.queue.pop().expect("peeked");
+        while let Some((time, _, kind)) = self.queue.pop_due(horizon) {
             debug_assert!(time >= self.now, "time went backwards");
             self.now = time;
             self.dispatch(kind);
@@ -347,54 +484,132 @@ impl Simulator {
         }
     }
 
+    /// Offer `pkt` to the link out of `node`'s `port` at the current
+    /// time, and on through every cut-through stage after it; schedule
+    /// the delivery at the first node that is not cut through.
     fn do_transmit(&mut self, node: NodeId, port: Port, pkt: Packet) {
-        let Some(end) = self.links[node.0].get_mut(port.0).and_then(Option::as_mut) else {
-            panic!(
-                "node {} ({node:?}) transmitted on unwired port {port:?}",
-                self.names[node.0]
-            );
-        };
-        match end.state.offer(self.now, pkt.wire_len()) {
-            Offer::Arrives(at) => {
-                let (peer, peer_port) = end.peer;
-                self.push(
-                    at,
-                    EventKind::Deliver {
-                        node: peer,
-                        port: peer_port,
-                        pkt,
-                    },
+        if self.replan {
+            self.plan_cuts();
+        }
+        let (mut node, mut port, mut at) = (node, port, self.now);
+        loop {
+            let Some(end) = self.links[node.0].get_mut(port.0).and_then(Option::as_mut) else {
+                panic!(
+                    "node {} ({node:?}) transmitted on unwired port {port:?}",
+                    self.names[node.0]
                 );
-            }
-            Offer::Dropped => {
-                self.link_drops += 1;
+            };
+            let arrival = match end.state.offer(at, pkt.wire_len()) {
+                Offer::Arrives(t) => t,
+                Offer::Dropped => {
+                    self.link_drops += 1;
+                    return;
+                }
+            };
+            let (peer, peer_port) = end.peer;
+            let stage = if end.cut {
+                self.nodes[peer.0].as_deref_mut()
+            } else {
+                None
+            };
+            let Some(stage) = stage else {
+                let slot = self.packets.insert(Parcel {
+                    node: peer,
+                    port: peer_port,
+                    pkt,
+                });
+                self.push(arrival, EventKind::Deliver(slot));
+                return;
+            };
+            self.stage_passes += 1;
+            let (Some(delay), Some(exit)) =
+                (stage.stage_pass(peer_port), stage.stage_exit(peer_port))
+            else {
+                return; // dropped by the stage
+            };
+            (node, port, at) = (peer, exit, arrival + delay);
+        }
+    }
+
+    /// Re-mark every link's `cut` flag for the current topology and taps.
+    fn plan_cuts(&mut self) {
+        self.replan = false;
+        for node in 0..self.links.len() {
+            for port in 0..self.links[node].len() {
+                let cut = match &self.links[node][port] {
+                    Some(end) => self.chain_ends_at_sink(end.peer),
+                    None => continue,
+                };
+                if let Some(end) = self.links[node][port].as_mut() {
+                    end.cut = cut;
+                }
             }
         }
     }
 
+    /// Whether a packet arriving at `at` passes through untapped stages
+    /// only and then reaches a sink with one wired port.
+    fn chain_ends_at_sink(&self, mut at: (NodeId, Port)) -> bool {
+        // Each hop visits a node; a longer chain must loop.
+        for _ in 0..self.nodes.len() {
+            let (node, port) = at;
+            let Some(dev) = self.nodes[node.0].as_deref() else {
+                return false;
+            };
+            if !self.rx_taps[node.0].is_empty() || !self.tx_taps[node.0].is_empty() {
+                return false;
+            }
+            let Some(end) = dev
+                .stage_exit(port)
+                .and_then(|exit| self.links[node.0].get(exit.0))
+                .and_then(Option::as_ref)
+            else {
+                return false;
+            };
+            let (next, _) = end.peer;
+            if self.is_wired_sink(next) {
+                return true;
+            }
+            at = end.peer;
+        }
+        false
+    }
+
+    fn is_wired_sink(&self, node: NodeId) -> bool {
+        self.nodes[node.0].as_deref().is_some_and(|d| d.is_sink())
+            && self.links[node.0].iter().flatten().count() == 1
+    }
+
     fn dispatch(&mut self, kind: EventKind) {
+        match kind {
+            EventKind::Deliver(slot) => {
+                if let Some(Parcel { node, port, pkt }) = self.packets.take(slot) {
+                    self.record_rx(node, port, &pkt);
+                    self.invoke(node, |dev, ctx| dev.on_packet(ctx, port, pkt));
+                }
+            }
+            EventKind::Timer { node, token } => {
+                self.invoke(node, |dev, ctx| dev.on_timer(ctx, token));
+            }
+        }
+    }
+
+    /// Run one handler on `node`'s device, then carry out its actions
+    /// in issue order.
+    fn invoke(&mut self, node: NodeId, handler: impl FnOnce(&mut dyn Device, &mut Ctx<'_>)) {
         self.events += 1;
-        let node = match &kind {
-            EventKind::Deliver { node, .. } | EventKind::Timer { node, .. } => *node,
-        };
         let mut dev = self.nodes[node.0].take().unwrap_or_else(|| {
             panic!("re-entrant dispatch on node {}", self.names[node.0]);
         });
         let mut actions = std::mem::take(&mut self.scratch);
-        {
-            let mut ctx = Ctx {
+        handler(
+            dev.as_mut(),
+            &mut Ctx {
                 now: self.now,
                 node,
                 actions: &mut actions,
-            };
-            match kind {
-                EventKind::Deliver { port, pkt, .. } => {
-                    self.record_rx(node, port, &pkt);
-                    dev.on_packet(&mut ctx, port, pkt);
-                }
-                EventKind::Timer { token, .. } => dev.on_timer(&mut ctx, token),
-            }
-        }
+            },
+        );
         self.nodes[node.0] = Some(dev);
         for act in actions.drain(..) {
             match act {
@@ -603,6 +818,228 @@ mod tests {
         }
         sim.run_until_idle(SimTime::from_secs(1));
         assert_eq!(sim.events_processed(), 7);
+    }
+
+    /// Lends a device to the simulator while the test keeps a handle
+    /// to read its counters; forwards every hook, the stage ones too.
+    struct Shared<D>(Rc<RefCell<D>>);
+    impl<D: Device> Device for Shared<D> {
+        fn on_packet(&mut self, ctx: &mut Ctx<'_>, port: Port, pkt: Packet) {
+            self.0.borrow_mut().on_packet(ctx, port, pkt);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+            self.0.borrow_mut().on_timer(ctx, token);
+        }
+        fn stage_exit(&self, port: Port) -> Option<Port> {
+            self.0.borrow().stage_exit(port)
+        }
+        fn stage_pass(&mut self, port: Port) -> Option<Duration> {
+            self.0.borrow_mut().stage_pass(port)
+        }
+        fn is_sink(&self) -> bool {
+            self.0.borrow().is_sink()
+        }
+    }
+
+    /// What the prober saw and what the loss stage counted.
+    #[derive(Debug, PartialEq)]
+    struct PathRun {
+        mailbox: Vec<(SimTime, Port, Packet)>,
+        loss_passed: [u64; 2],
+        loss_dropped: [u64; 2],
+    }
+
+    /// prober (mailbox) — loss — constant jitter — dummynet — echo host,
+    /// driven like the prober drives a campaign host: bursts, gaps and
+    /// partial runs. `tap_stages` puts a tap on both stages, which keeps
+    /// every hop evented.
+    fn prober_path(tap_stages: bool) -> (PathRun, Simulator) {
+        use crate::mailbox::{drain, Mailbox};
+        use crate::pipes::{DelayJitter, DummynetConfig, DummynetReorder, RandomLoss, DOWN, UP};
+        let mut sim = Simulator::new(42);
+        let (mb, queue) = Mailbox::new();
+        let me = sim.add_node(Box::new(mb));
+        let loss = Rc::new(RefCell::new(RandomLoss::new(0.2, 0.25, 42, "loss")));
+        let l = sim.add_node(Box::new(Shared(loss.clone())));
+        let d = Duration::from_micros(700);
+        let j = sim.add_node(Box::new(DelayJitter::new(d, d, 42, "jitter")));
+        let swaps = DummynetConfig {
+            fwd_swap: 0.3,
+            rev_swap: 0.3,
+            max_hold: Duration::from_millis(5),
+        };
+        let dn = sim.add_node(Box::new(DummynetReorder::new(swaps, 42, "dn")));
+        let host = sim.add_node(Box::new(Echo));
+        sim.connect(me, Port(0), l, UP, LinkParams::lan());
+        sim.connect(l, DOWN, j, UP, LinkParams::wan());
+        sim.connect(j, DOWN, dn, UP, LinkParams::lan());
+        sim.connect(
+            dn,
+            DOWN,
+            host,
+            Port(0),
+            LinkParams::lan().with_rate(10_000_000),
+        );
+        if tap_stages {
+            sim.tap_rx(l);
+            sim.tap_tx(j);
+        }
+        let mut mailbox = Vec::new();
+        for i in 0..300u16 {
+            sim.transmit_from(me, Port(0), probe(i));
+            match i % 7 {
+                0 => sim.run_for(Duration::from_micros(u64::from(i % 13) * 40)),
+                3 => sim.run_until(sim.next_event_time().unwrap_or(SimTime::ZERO)),
+                _ => {}
+            }
+            mailbox.extend(drain(&queue).into_iter().map(|r| (r.time, r.port, r.pkt)));
+        }
+        sim.run_until_idle(SimTime::from_secs(10));
+        mailbox.extend(drain(&queue).into_iter().map(|r| (r.time, r.port, r.pkt)));
+        let loss = loss.borrow();
+        let run = PathRun {
+            mailbox,
+            loss_passed: loss.passed,
+            loss_dropped: loss.dropped,
+        };
+        (run, sim)
+    }
+
+    #[test]
+    fn cut_through_matches_the_evented_path() {
+        let (evented, evented_sim) = prober_path(true);
+        let (cut, cut_sim) = prober_path(false);
+        assert_eq!(cut, evented);
+        // The run exercised drops both ways and reordering on the way
+        // back, and the reverse direction was really cut.
+        assert!(evented.loss_dropped.iter().all(|&n| n > 0));
+        let ids: Vec<u16> = cut.mailbox.iter().map(|r| r.2.ip.ident.raw()).collect();
+        assert!(
+            ids.windows(2).any(|w| w[0] > w[1]),
+            "no reordering: {ids:?}"
+        );
+        assert_eq!(evented_sim.stage_passes(), 0);
+        // Every reverse packet passes the jitter stage, which never
+        // drops, and then the loss stage.
+        let back = cut.loss_passed[1] + cut.loss_dropped[1];
+        assert_eq!(cut_sim.stage_passes(), 2 * back);
+        // Each cut packet saves two deliveries and a jitter timer.
+        assert_eq!(
+            cut_sim.events_processed() + 3 * back,
+            evented_sim.events_processed()
+        );
+        assert_eq!(cut_sim.packets.len(), 0);
+    }
+
+    #[test]
+    fn chains_not_ending_at_a_one_port_sink_stay_evented() {
+        use crate::mailbox::Mailbox;
+        use crate::pipes::{Forwarder, DOWN, UP};
+        // Forwarder in front of a device that is not a sink.
+        let mut sim = Simulator::new(0);
+        let rx = Rc::new(RefCell::new(Vec::new()));
+        let src = sim.add_node(Box::new(Echo));
+        let f = sim.add_node(Box::new(Forwarder::new()));
+        let dst = sim.add_node(Box::new(Sink(rx.clone())));
+        sim.connect(src, Port(0), f, UP, LinkParams::lan());
+        sim.connect(f, DOWN, dst, Port(0), LinkParams::lan());
+        for i in 0..5 {
+            sim.transmit_from(src, Port(0), probe(i));
+        }
+        sim.run_until_idle(SimTime::from_secs(1));
+        assert_eq!(rx.borrow().len(), 5);
+        assert_eq!((sim.stage_passes(), sim.events_processed()), (0, 10));
+
+        // A mailbox with two wired ports is not a sink.
+        let mut sim = Simulator::new(0);
+        let (mb, queue) = Mailbox::new();
+        let src = sim.add_node(Box::new(Echo));
+        let f = sim.add_node(Box::new(Forwarder::new()));
+        let me = sim.add_node(Box::new(mb));
+        let other = sim.add_node(Box::new(Echo));
+        sim.connect(src, Port(0), f, UP, LinkParams::lan());
+        sim.connect(f, DOWN, me, Port(0), LinkParams::lan());
+        sim.connect(me, Port(1), other, Port(0), LinkParams::lan());
+        for i in 0..5 {
+            sim.transmit_from(src, Port(0), probe(i));
+        }
+        sim.run_until_idle(SimTime::from_secs(1));
+        assert_eq!(queue.borrow().len(), 5);
+        assert_eq!(sim.stage_passes(), 0);
+
+        // Unwire the second port (a fresh build) and the chain is cut.
+        sim.reset(0);
+        let (mb, queue) = Mailbox::new();
+        let src = sim.add_node(Box::new(Echo));
+        let f = sim.add_node(Box::new(Forwarder::new()));
+        let me = sim.add_node(Box::new(mb));
+        sim.connect(src, Port(0), f, UP, LinkParams::lan());
+        sim.connect(f, DOWN, me, Port(0), LinkParams::lan());
+        for i in 0..5 {
+            sim.transmit_from(src, Port(0), probe(i));
+        }
+        sim.run_until_idle(SimTime::from_secs(1));
+        assert_eq!(queue.borrow().len(), 5);
+        assert_eq!((sim.stage_passes(), sim.events_processed()), (5, 5));
+    }
+
+    #[test]
+    fn random_delay_jitter_is_never_a_stage() {
+        use crate::mailbox::Mailbox;
+        use crate::pipes::{DelayJitter, DOWN, UP};
+        let (lo, hi) = (Duration::from_micros(10), Duration::from_micros(20));
+        let random = DelayJitter::new(lo, hi, 1, "j");
+        assert_eq!(
+            (random.stage_exit(UP), random.stage_exit(DOWN)),
+            (None, None)
+        );
+        let constant = DelayJitter::new(hi, hi, 1, "j");
+        assert_eq!(constant.stage_exit(UP), Some(DOWN));
+        assert_eq!(constant.stage_exit(DOWN), Some(UP));
+        assert_eq!(constant.stage_exit(Port(2)), None);
+
+        for (jitter, passes) in [(random, 0), (constant, 4)] {
+            let mut sim = Simulator::new(1);
+            let src = sim.add_node(Box::new(Echo));
+            let j = sim.add_node(Box::new(jitter));
+            let (mb, queue) = Mailbox::new();
+            let me = sim.add_node(Box::new(mb));
+            sim.connect(src, Port(0), j, UP, LinkParams::lan());
+            sim.connect(j, DOWN, me, Port(0), LinkParams::lan());
+            for i in 0..4 {
+                sim.transmit_from(src, Port(0), probe(i));
+            }
+            sim.run_until_idle(SimTime::from_secs(1));
+            assert_eq!(queue.borrow().len(), 4);
+            assert_eq!(sim.stage_passes(), passes);
+        }
+    }
+
+    #[test]
+    fn packet_slab_empties_after_idle_and_reset() {
+        let mut sim = Simulator::new(3);
+        let rx = Rc::new(RefCell::new(Vec::new()));
+        let sink = sim.add_node(Box::new(Sink(rx)));
+        let echo = sim.add_node(Box::new(Echo));
+        sim.connect(sink, Port(0), echo, Port(0), LinkParams::wan());
+        for i in 0..20 {
+            sim.transmit_from(sink, Port(0), probe(i));
+        }
+        assert_eq!(sim.packets.len(), 20);
+        sim.run_until_idle(SimTime::from_secs(5));
+        assert_eq!(sim.packets.len(), 0);
+        for i in 0..20 {
+            sim.transmit_from(sink, Port(0), probe(i));
+        }
+        sim.run_for(Duration::from_millis(25)); // half-way: echoes in flight
+        assert!(sim.packets.len() > 0);
+        sim.reset(3);
+        assert_eq!((sim.packets.len(), sim.pending_events()), (0, 0));
+    }
+
+    #[test]
+    fn calendar_entries_are_compact() {
+        assert!(std::mem::size_of::<crate::calendar::Entry<EventKind>>() <= 40);
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! Transparent two-port forwarder — the identity pipe, useful as a
 //! monitoring point and as the no-op arm of A/B scenarios.
 
-use super::other;
+use super::{other, two_port_exit};
 use crate::engine::{Ctx, Device, Port};
 use reorder_wire::Packet;
+use std::time::Duration;
 
-/// Forwards everything between ports 0 and 1 unchanged.
+/// Forwards everything between ports 0 and 1 unchanged. A stage (see
+/// [`crate::engine`]).
 #[derive(Debug, Default)]
 pub struct Forwarder {
     /// Packets forwarded (observability).
@@ -21,12 +23,22 @@ impl Forwarder {
 
 impl Device for Forwarder {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, port: Port, pkt: Packet) {
-        self.forwarded += 1;
-        ctx.transmit(other(port), pkt);
+        if self.stage_pass(port).is_some() {
+            ctx.transmit(other(port), pkt);
+        }
     }
 
     fn name(&self) -> &str {
         "forwarder"
+    }
+
+    fn stage_exit(&self, port: Port) -> Option<Port> {
+        two_port_exit(port)
+    }
+
+    fn stage_pass(&mut self, _port: Port) -> Option<Duration> {
+        self.forwarded += 1;
+        Some(Duration::ZERO)
     }
 }
 

@@ -3,8 +3,8 @@
 //! queue-imbalance mechanism of the striping pipe), so this pipe doubles
 //! as a second reordering model for cross-validation.
 
-use super::other;
 use super::token::TokenStore;
+use super::{other, two_port_exit};
 use crate::engine::{Ctx, Device, Port};
 use crate::rng;
 use rand::rngs::SmallRng;
@@ -13,7 +13,9 @@ use reorder_wire::Packet;
 use std::time::Duration;
 
 /// Adds a uniform random delay in `[min, max]` to each packet,
-/// independently per direction.
+/// independently per direction. With `min == max` (a constant delay)
+/// it is a stage (see [`crate::engine`]); a random delay is not, since
+/// it reorders.
 pub struct DelayJitter {
     min: Duration,
     max: Duration,
@@ -37,16 +39,24 @@ impl DelayJitter {
     }
 }
 
-impl Device for DelayJitter {
-    fn on_packet(&mut self, ctx: &mut Ctx<'_>, port: Port, pkt: Packet) {
+impl DelayJitter {
+    /// The delay decision: the extra delay for the next packet arriving
+    /// on `port` (one draw from its direction unless constant).
+    fn delay(&mut self, port: Port) -> Duration {
         let dir = port.0;
         assert!(dir < 2);
-        let extra = if self.max > self.min {
+        if self.max > self.min {
             let span = (self.max - self.min).as_nanos() as u64;
             self.min + Duration::from_nanos(self.rngs[dir].gen_range(0..=span))
         } else {
             self.min
-        };
+        }
+    }
+}
+
+impl Device for DelayJitter {
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, port: Port, pkt: Packet) {
+        let extra = self.delay(port);
         let token = self.pending.insert((other(port), pkt));
         ctx.set_timer(extra, token);
     }
@@ -59,6 +69,17 @@ impl Device for DelayJitter {
 
     fn name(&self) -> &str {
         "delay-jitter"
+    }
+
+    fn stage_exit(&self, port: Port) -> Option<Port> {
+        if self.max > self.min {
+            return None;
+        }
+        two_port_exit(port)
+    }
+
+    fn stage_pass(&mut self, port: Port) -> Option<Duration> {
+        Some(self.delay(port))
     }
 }
 

@@ -2,14 +2,17 @@
 //! Connection Test to discard samples (§III-B) and that the SYN Test's
 //! lone-reply ambiguity rules are designed around.
 
-use super::other;
+use super::{other, two_port_exit};
 use crate::engine::{Ctx, Device, Port};
 use crate::rng;
 use rand::rngs::SmallRng;
 use rand::Rng;
 use reorder_wire::Packet;
+use std::time::Duration;
 
-/// Drops packets i.i.d. with a per-direction probability.
+/// Drops packets i.i.d. with a per-direction probability. A stage (see
+/// [`crate::engine`]): each direction's draws depend only on the
+/// packets sent that way.
 pub struct RandomLoss {
     prob: [f64; 2],
     rngs: [SmallRng; 2],
@@ -37,18 +40,29 @@ impl RandomLoss {
 
 impl Device for RandomLoss {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, port: Port, pkt: Packet) {
-        let dir = port.0;
-        assert!(dir < 2);
-        if self.prob[dir] > 0.0 && self.rngs[dir].gen_bool(self.prob[dir]) {
-            self.dropped[dir] += 1;
-            return;
+        if self.stage_pass(port).is_some() {
+            ctx.transmit(other(port), pkt);
         }
-        self.passed[dir] += 1;
-        ctx.transmit(other(port), pkt);
     }
 
     fn name(&self) -> &str {
         "random-loss"
+    }
+
+    fn stage_exit(&self, port: Port) -> Option<Port> {
+        two_port_exit(port)
+    }
+
+    /// The loss decision: one draw from `port`'s direction.
+    fn stage_pass(&mut self, port: Port) -> Option<Duration> {
+        let dir = port.0;
+        assert!(dir < 2);
+        if self.prob[dir] > 0.0 && self.rngs[dir].gen_bool(self.prob[dir]) {
+            self.dropped[dir] += 1;
+            return None;
+        }
+        self.passed[dir] += 1;
+        Some(Duration::ZERO)
     }
 }
 

@@ -38,13 +38,19 @@ pub const UP: Port = Port(0);
 /// Conventional downstream port of a two-port pipe.
 pub const DOWN: Port = Port(1);
 
+/// The opposite port of a two-port pipe, if `p` is one of its ports —
+/// the exit of a two-port stage.
+pub(crate) fn two_port_exit(p: Port) -> Option<Port> {
+    match p {
+        Port(0) => Some(DOWN),
+        Port(1) => Some(UP),
+        _ => None,
+    }
+}
+
 /// The opposite port of a two-port pipe.
 pub(crate) fn other(p: Port) -> Port {
-    match p {
-        Port(0) => DOWN,
-        Port(1) => UP,
-        other => panic!("two-port pipe has no port {other:?}"),
-    }
+    two_port_exit(p).unwrap_or_else(|| panic!("two-port pipe has no port {p:?}"))
 }
 
 #[cfg(test)]

@@ -357,6 +357,8 @@ fn attach_scheduler_counters(tel: &mut CampaignTelemetry, stats: &PoolStats) {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+    use std::sync::{Condvar, Mutex, PoisonError};
+    use std::time::Duration;
 
     fn quick_cfg(hosts: usize, workers: usize) -> CampaignConfig {
         CampaignConfig {
@@ -466,24 +468,57 @@ mod tests {
         let err = run_campaign(&cfg, Some(&mut sink)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::WriteZero);
 
-        // The remaining hosts are not simulated: count the hosts the
-        // workers rendered before the failed write stopped them.
+        // The remaining hosts are not simulated. Every host past the
+        // first two chunks is held in `render` until the failing write
+        // (chunk 1's) has happened, and then for a grace period in
+        // which the calling thread, which has nothing left to do but
+        // publish the stop, owns a core. So how the threads share the
+        // cores does not change the count: each worker finishes the
+        // host it holds, then sees the stop.
+        let held_from = 2 * crate::scheduler::chunk_len(cfg.hosts, cfg.workers) as u64;
+        let failed = (Mutex::new(false), Condvar::new());
         let simulated = AtomicUsize::new(0);
+        let after_failure = AtomicUsize::new(0);
         let mut sink = FailAfter(1);
         let err = run_campaign_with(
             &cfg,
-            |_, _: &mut ()| {
+            |report, _: &mut ()| {
                 simulated.fetch_add(1, Ordering::Relaxed);
+                if report.id >= held_from {
+                    let (lock, cvar) = &failed;
+                    let guard = lock.lock().unwrap_or_else(PoisonError::into_inner);
+                    let (guard, _) = cvar
+                        .wait_timeout_while(guard, Duration::from_secs(60), |f| !*f)
+                        .unwrap_or_else(PoisonError::into_inner);
+                    assert!(*guard, "the second chunk's write never happened");
+                    drop(guard);
+                    std::thread::sleep(Duration::from_millis(20));
+                    after_failure.fetch_add(1, Ordering::Relaxed);
+                }
             },
-            |()| sink.write(b"chunk").map(drop),
+            |()| {
+                let written = sink.write(b"chunk").map(drop);
+                if written.is_err() {
+                    let (lock, cvar) = &failed;
+                    *lock.lock().unwrap_or_else(PoisonError::into_inner) = true;
+                    cvar.notify_all();
+                }
+                written
+            },
         )
         .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::WriteZero);
-        let simulated = simulated.into_inner();
+        let after_failure = after_failure.into_inner();
         assert!(
-            simulated < cfg.hosts / 2,
-            "{simulated} of {} hosts simulated after the sink died",
-            cfg.hosts
+            after_failure <= cfg.workers,
+            "{after_failure} of {} hosts simulated after the sink died ({} workers)",
+            cfg.hosts,
+            cfg.workers
+        );
+        assert_eq!(
+            simulated.into_inner() as u64,
+            held_from + after_failure as u64,
+            "every host of the first two chunks, and only the held ones after"
         );
     }
 
@@ -601,6 +636,7 @@ mod tests {
                 let m = out.telemetry.merged();
                 for key in [
                     "netsim.events",
+                    "netsim.stage_passes",
                     "netsim.calendar_overflow",
                     "pool.hits",
                     "pool.misses",

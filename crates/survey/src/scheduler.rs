@@ -140,7 +140,7 @@ pub fn resolve_workers(requested: usize) -> usize {
 /// Jobs per chunk for `jobs` jobs on `workers` (resolved) workers: at
 /// least four chunks per worker so stealing still balances the tail,
 /// and at most 16 jobs so a run's last chunk is short next to the run.
-fn chunk_len(jobs: usize, workers: usize) -> usize {
+pub(crate) fn chunk_len(jobs: usize, workers: usize) -> usize {
     (jobs / (4 * workers.max(1))).clamp(1, 16)
 }
 

@@ -337,3 +337,39 @@ fn pooled_matches_fresh_under_reuse_off() {
     };
     assert_eq!(run(true), run(false));
 }
+
+/// The JSONL bytes of the pinned gap-sweep config (200 hosts, seed 1,
+/// three rounds, gaps 0/100/300 µs), captured from the build before
+/// packets bound for the prober began to cut through the path stages.
+const PINNED_GAP_SWEEP_JSONL_FNV1A: u64 = 0x52d2_3048_dfce_828b;
+/// The rendered summary bytes of the same gap-sweep config.
+const PINNED_GAP_SWEEP_SUMMARY_FNV1A: u64 = 0xef94_a827_1973_cf79;
+
+/// A second pin, on the configuration most sensitive to same-instant
+/// event order: repeated rounds and a gap sweep send bursts whose
+/// packets meet retransmissions at the wireless-ARQ hosts in the same
+/// nanosecond, so any change to how ties toward those hosts break
+/// shows up here even when the default pin holds.
+#[test]
+fn pinned_gap_sweep_reproduces_historical_bytes() {
+    let cfg = CampaignConfig {
+        hosts: 200,
+        workers: 2,
+        seed: 1,
+        rounds: 3,
+        gaps_us: vec![0, 100, 300],
+        ..CampaignConfig::default()
+    };
+    let mut buf = Vec::new();
+    let out = run_campaign(&cfg, Some(&mut buf)).expect("in-memory sink");
+    assert!(
+        String::from_utf8_lossy(&buf).contains("\"mechanism\":\"arq\""),
+        "seed 1 must draw at least one wireless-ARQ host"
+    );
+    assert_eq!(
+        (fnv1a64(&buf), fnv1a64(out.summary.render().as_bytes())),
+        (PINNED_GAP_SWEEP_JSONL_FNV1A, PINNED_GAP_SWEEP_SUMMARY_FNV1A),
+        "gap-sweep bytes moved — if this is an intended declared break, \
+         re-bless the pinned hashes"
+    );
+}

@@ -550,7 +550,6 @@ pub struct ScenarioPool {
     sim: Option<Simulator>,
     enabled: bool,
     events: u64,
-    overflow: u64,
     stage_passes: u64,
     recycled: u64,
     fresh: u64,
@@ -563,7 +562,6 @@ impl ScenarioPool {
             sim: None,
             enabled: true,
             events: 0,
-            overflow: 0,
             stage_passes: 0,
             recycled: 0,
             fresh: 0,
@@ -604,17 +602,10 @@ impl ScenarioPool {
         self.fresh
     }
 
-    /// Calendar-queue overflow-heap pushes absorbed from recycled
-    /// scenarios so far ([`Simulator::overflow_events`], banked by
-    /// [`ScenarioPool::recycle`] alongside the event count).
-    pub fn overflow_absorbed(&self) -> u64 {
-        self.overflow
-    }
-
     /// Cut-through stage passes absorbed from recycled scenarios so far
-    /// ([`Simulator::stage_passes`]): the hops toward the prober that
-    /// the simulator applied without dispatching an event, banked next
-    /// to the event count so the two together account for every hop.
+    /// ([`Simulator::stage_passes`]): the stage hops that the simulator
+    /// applied without dispatching an event, banked next to the event
+    /// count so the two together account for every hop.
     pub fn stage_passes_absorbed(&self) -> u64 {
         self.stage_passes
     }
@@ -640,7 +631,6 @@ impl ScenarioPool {
     pub fn recycle(&mut self, scenario: Scenario) {
         let sim = scenario.prober.into_sim();
         self.events += sim.events_processed();
-        self.overflow += sim.overflow_events();
         self.stage_passes += sim.stage_passes();
         if self.enabled {
             self.sim = Some(sim);

@@ -30,7 +30,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod calendar;
 pub mod capture;
 pub mod engine;
 pub mod link;

@@ -30,8 +30,7 @@ pub struct RxPacket {
 /// Shared receive queue; the external agent holds the other clone.
 pub type MailboxQueue = Rc<RefCell<VecDeque<RxPacket>>>;
 
-/// Node that appends every delivery to a shared queue. A sink (see
-/// [`crate::engine`]): it never transmits or sets a timer.
+/// Node that appends every delivery to a shared queue.
 pub struct Mailbox {
     queue: MailboxQueue,
 }
@@ -60,10 +59,6 @@ impl Device for Mailbox {
 
     fn name(&self) -> &str {
         "mailbox"
-    }
-
-    fn is_sink(&self) -> bool {
-        true
     }
 }
 

@@ -637,7 +637,6 @@ mod tests {
                 for key in [
                     "netsim.events",
                     "netsim.stage_passes",
-                    "netsim.calendar_overflow",
                     "pool.hits",
                     "pool.misses",
                     "agg.absorbs",

@@ -516,8 +516,8 @@ pub fn survey_host_pooled(
 /// [`survey_host_pooled`] with a telemetry sink: phase span durations
 /// (`host`, `amenability`, `measure`, `baseline`, `gap_sweep`) and
 /// pipeline counters (`netsim.events`, `netsim.stage_passes`,
-/// `netsim.calendar_overflow`, `pool.hits`, `pool.misses`) are folded
-/// into `tel` according to [`HostJob::telemetry`]. With [`TelemetryMode::Off`] (the default)
+/// `pool.hits`, `pool.misses`) are folded into `tel` according to
+/// [`HostJob::telemetry`]. With [`TelemetryMode::Off`] (the default)
 /// nothing is recorded and no clock is read — `tel` stays untouched —
 /// and in every mode the returned report is byte-identical to the
 /// untraced run (telemetry observes; it never participates).
@@ -531,7 +531,6 @@ pub fn survey_host_traced(
 ) -> HostReport {
     let mode = job.telemetry;
     let events_before = pool.events_absorbed();
-    let overflow_before = pool.overflow_absorbed();
     let stage_passes_before = pool.stage_passes_absorbed();
     let hits_before = pool.recycled();
     let misses_before = pool.fresh_builds();
@@ -548,10 +547,6 @@ pub fn survey_host_traced(
         tel.count(
             "netsim.stage_passes",
             pool.stage_passes_absorbed() - stage_passes_before,
-        );
-        tel.count(
-            "netsim.calendar_overflow",
-            pool.overflow_absorbed() - overflow_before,
         );
         tel.count("pool.hits", pool.recycled() - hits_before);
         tel.count("pool.misses", pool.fresh_builds() - misses_before);

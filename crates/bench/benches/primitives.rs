@@ -8,7 +8,6 @@ use reorder_netsim::pipes::{
     CrossTraffic, CrossTrafficModel, DummynetConfig, DummynetReorder, StripingLink,
 };
 use reorder_netsim::{Ctx, Device, LinkParams, Port, SimTime, Simulator};
-use reorder_survey::RateHistogram;
 use reorder_wire::{checksum, Ipv4Addr4, Packet, PacketBuilder, TcpFlags, TcpOption};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -143,10 +142,9 @@ fn bench_engine(c: &mut Criterion) {
     g.finish();
 }
 
-/// The aggregation-primitive pair behind every per-host rate the
-/// campaign absorbs: the mergeable quantile sketch vs the fixed-bucket
-/// histogram it replaced as the summary's source of truth. Also the
-/// shard-merge cost, the one step the funnel-free path added.
+/// The aggregation primitive behind every per-host rate the campaign
+/// absorbs: the mergeable quantile sketch, its push and its shard-merge
+/// cost, the one step the funnel-free path added.
 fn bench_stats(c: &mut Criterion) {
     // A deterministic rate stream shaped like campaign output: mostly
     // small positive rates, some exact zeros.
@@ -168,15 +166,6 @@ fn bench_stats(c: &mut Criterion) {
                 s.push(black_box(r));
             }
             black_box(s.count())
-        })
-    });
-    g.bench_function("histogram_push_4096", |b| {
-        b.iter(|| {
-            let mut h = RateHistogram::default();
-            for &r in &rates {
-                h.push(black_box(r));
-            }
-            black_box(h.total())
         })
     });
     let (mut left, mut right) = (QuantileSketch::new(), QuantileSketch::new());

@@ -55,8 +55,25 @@ pub fn atomic_write(dst: &Path, bytes: &[u8]) -> io::Result<()> {
 #[derive(Debug)]
 pub struct AtomicFile {
     dst: PathBuf,
+    file: BufWriter<File>,
+    staging: StagingGuard,
+}
+
+/// Deletes the staging file on drop unless [`AtomicFile::commit`]
+/// renamed it into place: any exit short of a successful commit leaves
+/// the destination untouched and no temp file behind.
+#[derive(Debug)]
+struct StagingGuard {
     tmp: PathBuf,
-    file: Option<BufWriter<File>>,
+    committed: bool,
+}
+
+impl Drop for StagingGuard {
+    fn drop(&mut self) {
+        if !self.committed {
+            let _ = fs::remove_file(&self.tmp);
+        }
+    }
 }
 
 impl AtomicFile {
@@ -66,41 +83,36 @@ impl AtomicFile {
         let file = File::create(&tmp)?;
         Ok(AtomicFile {
             dst: dst.to_path_buf(),
-            tmp,
-            file: Some(BufWriter::new(file)),
+            file: BufWriter::new(file),
+            staging: StagingGuard {
+                tmp,
+                committed: false,
+            },
         })
     }
 
-    /// Flush, sync and rename the staged bytes into place.
+    /// Flush, sync and rename the staged bytes into place. Consuming
+    /// `self` makes a write after commit unrepresentable.
     pub fn commit(mut self) -> io::Result<()> {
-        let mut writer = self.file.take().expect("commit consumes the writer");
-        writer.flush()?;
-        let file = writer
+        let file = self
+            .file
             .into_inner()
             .map_err(|e| io::Error::other(e.to_string()))?;
         file.sync_all()?;
         drop(file);
-        fs::rename(&self.tmp, &self.dst)
+        fs::rename(&self.staging.tmp, &self.dst)?;
+        self.staging.committed = true;
+        Ok(())
     }
 }
 
 impl Write for AtomicFile {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.file.as_mut().expect("write after commit").write(buf)
+        self.file.write(buf)
     }
 
     fn flush(&mut self) -> io::Result<()> {
-        self.file.as_mut().expect("flush after commit").flush()
-    }
-}
-
-impl Drop for AtomicFile {
-    fn drop(&mut self) {
-        if self.file.take().is_some() {
-            // Uncommitted: discard the staging file; `dst` never saw
-            // a byte.
-            let _ = fs::remove_file(&self.tmp);
-        }
+        self.file.flush()
     }
 }
 

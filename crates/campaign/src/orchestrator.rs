@@ -25,7 +25,7 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::{mpsc, Mutex, PoisonError};
 use std::time::Duration;
 
 /// Runtime knobs of one orchestrated run. None of these can change
@@ -382,7 +382,11 @@ fn drive(
                 if abort.load(Ordering::Relaxed) {
                     break;
                 }
-                let Some(shard) = queue.lock().expect("shard queue poisoned").pop_front() else {
+                let Some(shard) = queue
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .pop_front()
+                else {
                     break;
                 };
                 let part = spec.jsonl.then(|| part_path(dir, shard));
@@ -444,7 +448,7 @@ fn drive(
                         // directory is left as the crash left it.
                         interrupted = true;
                         abort.store(true, Ordering::Relaxed);
-                        queue.lock().expect("shard queue poisoned").clear();
+                        queue.lock().unwrap_or_else(PoisonError::into_inner).clear();
                         break;
                     }
                 }

@@ -18,7 +18,7 @@ use reorder_campaign::{CampaignSpec, Checkpoint};
 use reorder_core::metrics::ReorderEstimate;
 use reorder_core::stats::{Moments, QuantileSketch};
 use reorder_core::telemetry::{TelemetryMode, WorkerTelemetry};
-use reorder_core::{IpidVerdict, Measurement, TestKind};
+use reorder_core::TestKind;
 use reorder_survey::aggregate::GroupAgg;
 use reorder_survey::{unseal, CampaignSummary, FailureAgg, ShardAggregator, TechniqueChoice};
 use std::collections::BTreeMap;
@@ -191,32 +191,6 @@ fn arb_spec() -> impl Strategy<Value = CampaignSpec> {
         )
 }
 
-fn arb_measurement() -> impl Strategy<Value = Measurement> {
-    (
-        (0usize..5, 0usize..4, arb_est(), arb_est()),
-        (0usize..100, 0usize..10, any::<bool>()),
-        proptest::collection::vec((0u64..10_000, arb_est()), 0..3),
-    )
-        .prop_map(
-            |((kind, verdict, fwd, rev), (samples, discarded, base), gap_points)| Measurement {
-                kind: TestKind::all()[kind],
-                verdict: [
-                    IpidVerdict::Amenable,
-                    IpidVerdict::ConstantZero,
-                    IpidVerdict::NonMonotonic,
-                ]
-                .get(verdict)
-                .copied(),
-                fwd,
-                rev,
-                samples,
-                discarded,
-                baseline_rev: base.then_some(rev),
-                gap_points,
-            },
-        )
-}
-
 /// Seeded single-byte mutations: `(position, replacement)` pairs. The
 /// replacement is ASCII, so the mutated document stays a `&str`.
 fn arb_mutations() -> impl Strategy<Value = Vec<(usize, u8)>> {
@@ -271,7 +245,6 @@ proptest! {
         failures in 0u64..1_000,
         ops in arb_ops(30),
         spec in arb_spec(),
-        measurement in arb_measurement(),
         sketch_vals in proptest::collection::vec(-2.0f64..2.0, 0..12),
         mutations in arb_mutations(),
     ) {
@@ -297,9 +270,6 @@ proptest! {
         })?;
         assert_strict(&spec.to_json(), &mutations, |s| {
             CampaignSpec::from_json(s).map(|v| v.to_json())
-        })?;
-        assert_strict(&measurement.to_json(), &mutations, |s| {
-            Measurement::from_json(s).map(|v| v.to_json())
         })?;
     }
 }

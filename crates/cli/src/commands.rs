@@ -289,6 +289,39 @@ impl std::io::Write for JsonlSink {
     }
 }
 
+/// Resolve `--telemetry` against `--metrics`: an explicit mode must
+/// be enabled when `--metrics` asks for a document, and `--metrics`
+/// without an explicit mode means "measure, cheaply" (summary).
+fn parse_telemetry(args: &Args) -> Result<TelemetryMode, ArgError> {
+    let metrics = args.get("metrics").is_some();
+    match args.get("telemetry") {
+        Some(name) => {
+            let mode = TelemetryMode::parse(name).map_err(ArgError)?;
+            if metrics && !mode.is_enabled() {
+                return Err(ArgError(
+                    "--metrics needs telemetry: drop `--telemetry off` or pass summary/full"
+                        .to_string(),
+                ));
+            }
+            Ok(mode)
+        }
+        None if metrics => Ok(TelemetryMode::Summary),
+        None => Ok(TelemetryMode::Off),
+    }
+}
+
+/// Write a `--metrics` document: `-` prints it on stdout, a path
+/// receives it atomically.
+fn write_metrics(target: &str, doc: String) -> Result<(), ArgError> {
+    if target == "-" {
+        println!("{doc}");
+        Ok(())
+    } else {
+        atomic_write(Path::new(target), (doc + "\n").as_bytes())
+            .map_err(|e| ArgError(format!("writing {target}: {e}")))
+    }
+}
+
 /// `reorder survey` — the sharded campaign engine (`reorder-survey`)
 /// run over a generated host population. Output on stdout is
 /// byte-identical across reruns and worker counts for a fixed seed;
@@ -318,21 +351,7 @@ pub fn survey(args: &Args) -> Result<(), ArgError> {
         "progress",
     ])?;
     let metrics = args.get("metrics");
-    let telemetry = match args.get("telemetry") {
-        Some(name) => {
-            let mode = TelemetryMode::parse(name).map_err(ArgError)?;
-            if metrics.is_some() && !mode.is_enabled() {
-                return Err(ArgError(
-                    "--metrics needs telemetry: drop `--telemetry off` or pass summary/full"
-                        .to_string(),
-                ));
-            }
-            mode
-        }
-        // `--metrics` without an explicit mode means "measure, cheaply".
-        None if metrics.is_some() => TelemetryMode::Summary,
-        None => TelemetryMode::Off,
-    };
+    let telemetry = parse_telemetry(args)?;
     let cfg = CampaignConfig {
         hosts: args.get_or("hosts", 50)?,
         workers: parse_workers(args)?,
@@ -476,38 +495,31 @@ pub fn survey(args: &Args) -> Result<(), ArgError> {
     );
 
     if let Some(target) = metrics {
-        let doc = out.telemetry.to_json(
-            out.summary.hosts,
-            cfg.seed,
-            out.events,
-            out.stats.steals,
-            wall.as_secs_f64(),
-        );
-        if target == "-" {
-            println!("{doc}");
-        } else {
-            atomic_write(Path::new(target), (doc + "\n").as_bytes())
-                .map_err(|e| ArgError(format!("writing {target}: {e}")))?;
-        }
+        write_metrics(
+            target,
+            out.telemetry.to_json(
+                out.summary.hosts,
+                cfg.seed,
+                out.events,
+                out.stats.steals,
+                wall.as_secs_f64(),
+            ),
+        )?;
     }
     Ok(())
 }
 
-/// Parse `--fail-after-shards` / `REORDER_FAIL_AFTER_SHARDS` (flag
-/// wins): the deterministic fault-injection hook — the supervisor
-/// stops, as a crash would, after that many checkpoint writes.
+/// Parse `--fail-after-shards`: the deterministic fault-injection
+/// hook — the supervisor stops, as a crash would, after that many
+/// checkpoint writes.
 fn parse_fail_after(args: &Args) -> Result<Option<usize>, ArgError> {
-    let (origin, value) = match args.get("fail-after-shards") {
-        Some(v) => ("--fail-after-shards".to_string(), v.to_string()),
-        None => match std::env::var("REORDER_FAIL_AFTER_SHARDS") {
-            Ok(v) => ("REORDER_FAIL_AFTER_SHARDS".to_string(), v),
-            Err(_) => return Ok(None),
-        },
+    let Some(value) = args.get("fail-after-shards") else {
+        return Ok(None);
     };
     match value.parse::<usize>() {
         Ok(n) if n >= 1 => Ok(Some(n)),
         _ => Err(ArgError(format!(
-            "invalid {origin} `{value}` (accepted: positive shard count)"
+            "invalid --fail-after-shards `{value}` (accepted: positive shard count)"
         ))),
     }
 }
@@ -623,20 +635,7 @@ pub fn campaign(args: &Args) -> Result<(), ArgError> {
         "progress",
     ])?;
     let metrics = args.get("metrics");
-    let telemetry = match args.get("telemetry") {
-        Some(name) => {
-            let mode = TelemetryMode::parse(name).map_err(ArgError)?;
-            if metrics.is_some() && !mode.is_enabled() {
-                return Err(ArgError(
-                    "--metrics needs telemetry: drop `--telemetry off` or pass summary/full"
-                        .to_string(),
-                ));
-            }
-            mode
-        }
-        None if metrics.is_some() => TelemetryMode::Summary,
-        None => TelemetryMode::Off,
-    };
+    let telemetry = parse_telemetry(args)?;
     if args.get("jsonl").is_some() {
         return Err(ArgError(
             "--jsonl takes no value here: the campaign report lands in DIR/campaign.jsonl"
@@ -793,19 +792,16 @@ pub fn campaign(args: &Args) -> Result<(), ArgError> {
             per_worker: Vec::new(),
             campaign: ckpt.telemetry.clone(),
         };
-        let doc = tel.to_json(
-            ckpt.agg.summary.hosts,
-            ckpt.spec.seed,
-            ckpt.agg.events,
-            ckpt.steals,
-            wall.as_secs_f64(),
-        );
-        if target == "-" {
-            println!("{doc}");
-        } else {
-            atomic_write(Path::new(target), (doc + "\n").as_bytes())
-                .map_err(|e| ArgError(format!("writing {target}: {e}")))?;
-        }
+        write_metrics(
+            target,
+            tel.to_json(
+                ckpt.agg.summary.hosts,
+                ckpt.spec.seed,
+                ckpt.agg.events,
+                ckpt.steals,
+                wall.as_secs_f64(),
+            ),
+        )?;
     }
 
     if report.interrupted {

@@ -92,8 +92,7 @@ COMMANDS:
                --in-process         supervise library calls instead of
                                     spawning worker processes
                --fail-after-shards N  fault injection: stop (as a crash
-                                    would) after N checkpoint writes; also
-                                    via REORDER_FAIL_AFTER_SHARDS (flag wins)
+                                    would) after N checkpoint writes
                --workers auto|N     threads per shard run (default auto)
                --hosts/--seed/--samples/--rounds/--technique/--gaps-us/
                --no-baseline/--no-reuse/--amenability-only

@@ -20,19 +20,15 @@ use std::time::Duration;
 
 /// Result of one ICMP burst (Bennett-style).
 #[derive(Debug, Clone)]
-pub struct IcmpBurstResult {
+pub(crate) struct IcmpBurstResult {
     /// Echo sequence numbers in reply arrival order.
     pub arrival_order: Vec<u16>,
-    /// Requests sent.
-    pub sent: usize,
-    /// Replies received.
-    pub received: usize,
 }
 
 impl IcmpBurstResult {
     /// Did the burst see at least one reordering event? (The metric
     /// Bennett et al. report for 5-packet bursts.)
-    pub fn any_reordered(&self) -> bool {
+    pub(crate) fn any_reordered(&self) -> bool {
         self.exchanges() > 0
     }
 
@@ -42,13 +38,6 @@ impl IcmpBurstResult {
     pub fn exchanges(&self) -> usize {
         let seq: Vec<u64> = self.arrival_order.iter().map(|&s| u64::from(s)).collect();
         metrics::exchanges(&seq)
-    }
-
-    /// The SACK-block metric of Bennett et al.: how many SACK ranges a
-    /// TCP receiver would have needed to describe this arrival order.
-    pub fn sack_blocks(&self) -> usize {
-        let seq: Vec<u64> = self.arrival_order.iter().map(|&s| u64::from(s)).collect();
-        metrics::max_sack_blocks(&seq, seq.iter().copied().min().unwrap_or(0))
     }
 }
 
@@ -78,7 +67,7 @@ impl Default for IcmpBurstTest {
 
 impl IcmpBurstTest {
     /// Fire one burst at `target` and collect replies.
-    pub fn run_burst(
+    pub(crate) fn run_burst(
         &self,
         p: &mut Prober,
         target: Ipv4Addr4,
@@ -119,8 +108,6 @@ impl IcmpBurstTest {
                 .iter()
                 .map(|r| r.pkt.icmp().expect("icmp").seq)
                 .collect(),
-            sent: self.burst,
-            received: replies.len(),
         })
     }
 
@@ -259,19 +246,13 @@ mod tests {
     fn burst_metrics() {
         let r = IcmpBurstResult {
             arrival_order: vec![0, 2, 1, 3, 4],
-            sent: 5,
-            received: 5,
         };
         assert!(r.any_reordered());
         assert_eq!(r.exchanges(), 1);
-        assert_eq!(r.sack_blocks(), 1);
         let clean = IcmpBurstResult {
             arrival_order: vec![0, 1, 2],
-            sent: 5,
-            received: 3,
         };
         assert!(!clean.any_reordered());
-        assert_eq!(clean.sack_blocks(), 0);
     }
 
     #[test]

@@ -56,7 +56,7 @@ impl StreamObservation {
     }
 
     /// One-way transit time of each arrived packet.
-    pub fn transits(&self) -> Vec<Duration> {
+    pub(crate) fn transits(&self) -> Vec<Duration> {
         self.arrivals
             .iter()
             .map(|&(s, at)| at.since(self.send_times[s as usize]))
@@ -119,7 +119,7 @@ pub mod tcp {
     /// For every packet, the number of *later-sent* packets that
     /// arrived before it — each such packet generates one duplicate
     /// ACK at a TCP receiver while the late packet is missing.
-    pub fn dup_acks_per_packet(arrival_order: &[u64]) -> Vec<(u64, usize)> {
+    pub(crate) fn dup_acks_per_packet(arrival_order: &[u64]) -> Vec<(u64, usize)> {
         arrival_order
             .iter()
             .enumerate()

@@ -20,7 +20,7 @@
 //! - numbers are integers (`-?(0|[1-9][0-9]*)`, never `-0`), kept as
 //!   their numeral and converted exactly by [`Value::as_int`];
 //! - no key twice in one object;
-//! - containers nested at most [`MAX_DEPTH`] deep.
+//! - containers nested at most `MAX_DEPTH` (32) deep.
 //!
 //! Together these make every accepted document canonical: a decoder
 //! built on this reader either rejects its input or restores a value
@@ -46,7 +46,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// writer emits, a bucket pair of a telemetry span's sketch inside a
 /// checkpoint, sits 7 containers deep; the bound keeps a hostile input
 /// from exhausting the stack.
-pub const MAX_DEPTH: usize = 32;
+pub(crate) const MAX_DEPTH: usize = 32;
 
 /// One parsed JSON value, borrowing its strings and numerals from the
 /// source text.

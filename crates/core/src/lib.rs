@@ -36,26 +36,29 @@
 //! [`measurer::registry`]), keyed by [`TestKind`] — which parses from
 //! and prints as its command-line spelling. A [`measurer::Session`]
 //! holds the conversation with one target, and the [`Measurer`]
-//! builder folds a whole plan (technique + baseline + gap sweep) into
-//! one [`Measurement`] report:
+//! builder runs one technique on it and summarizes the run as a
+//! [`Measurement`] report:
 //!
 //! ```
-//! use reorder_core::{Measurer, Session, TestKind};
+//! use reorder_core::{Measurer, Session, TestConfig, TestKind};
 //! use reorder_core::scenario;
 //!
 //! // A controlled path that swaps 10% of adjacent forward pairs.
 //! let mut sc = scenario::validation_rig(0.10, 0.0, 42);
-//! // Reuse: amenability probe, measurement and baseline share
-//! // handshakes (the survey engine's per-host fast path).
+//! // Reuse: the amenability probe and every later run on the session
+//! // share handshakes (the survey engine's per-host fast path).
 //! let mut session = Session::new(&mut sc.prober, sc.target, 80).with_reuse(true);
 //! let report = Measurer::new(TestKind::DualConnection)
-//!     .with_samples(50)
-//!     .with_baseline(true)
+//!     .with_config(TestConfig::samples(50))
 //!     .run(&mut session)
 //!     .expect("measurement");
 //! assert!(report.fwd.rate() > 0.0 && report.fwd.rate() < 0.35);
-//! assert!(report.baseline_rev.is_some());
 //! ```
+//!
+//! The full per-host protocol of the paper's survey — amenability,
+//! measurement rounds, the §III-E transfer baseline and the §IV-C gap
+//! sweep, under a per-host budget — is a sequence of such runs on one
+//! session; it lives in the survey crate's `pipeline` module.
 //!
 //! The pre-0.2 per-struct `run()`/`probe_amenability()` methods were
 //! deprecated in 0.2.0 and removed in 0.3.0; the [`Technique`] trait,

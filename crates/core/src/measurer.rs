@@ -1,8 +1,8 @@
 //! The unified measurement API: one [`Technique`] trait over all of
 //! the paper's tests, a [`Session`] that owns the conversation with one
 //! target (and caches handshakes so successive phases reuse
-//! connections), and a [`Measurer`] builder that turns a plan into one
-//! [`Measurement`] report.
+//! connections), and a [`Measurer`] builder that runs one technique and
+//! summarizes it as a [`Measurement`] report.
 //!
 //! Before this module, every consumer — the CLI, the survey pipeline,
 //! the experiment binaries, the examples — carried its own string-keyed
@@ -36,7 +36,6 @@
 //! historical per-run behavior packet for packet.
 
 use crate::budget::Budget;
-use crate::jsonx::{self, Value};
 use crate::metrics::ReorderEstimate;
 use crate::probe::{ClientConn, ProbeError, Prober};
 use crate::sample::{MeasurementRun, TestConfig};
@@ -45,7 +44,6 @@ use crate::techniques::{
 };
 use reorder_netsim::SimTime;
 use reorder_wire::Ipv4Addr4;
-use std::fmt::Write as _;
 
 /// What a technique needs from a target and which directions it can
 /// see — the machine-readable version of the table in
@@ -167,7 +165,7 @@ impl<'p> Session<'p> {
     }
 
     /// Whether the session's budget deadline (if any) has passed.
-    pub fn over_deadline(&self) -> bool {
+    pub(crate) fn over_deadline(&self) -> bool {
         self.deadline.is_some_and(|d| self.prober.now() >= d)
     }
 
@@ -179,11 +177,6 @@ impl<'p> Session<'p> {
     /// The target port under measurement.
     pub fn port(&self) -> u16 {
         self.port
-    }
-
-    /// Whether checkins keep connections open for later checkouts.
-    pub fn reuses_connections(&self) -> bool {
-        self.reuse
     }
 
     /// Direct access to the prober (techniques drive the simulation
@@ -204,7 +197,7 @@ impl<'p> Session<'p> {
 
     /// Record the amenability verdict (techniques call this after
     /// validating; [`SessionStats::validations`] counts the calls).
-    pub fn set_verdict(&mut self, verdict: IpidVerdict) {
+    pub(crate) fn set_verdict(&mut self, verdict: IpidVerdict) {
         self.stats.validations += 1;
         self.verdict = Some(verdict);
     }
@@ -213,13 +206,13 @@ impl<'p> Session<'p> {
     /// park bytes beyond `snd_nxt` (IPID validation, dual-connection
     /// samples) share this counter so reused connections never re-park
     /// an already-buffered offset.
-    pub fn probe_offset(&self) -> u32 {
+    pub(crate) fn probe_offset(&self) -> u32 {
         self.probe_offset
     }
 
     /// Advance the shared probe offset after consuming offsets up to
     /// (exclusive) `next`.
-    pub fn set_probe_offset(&mut self, next: u32) {
+    pub(crate) fn set_probe_offset(&mut self, next: u32) {
         debug_assert!(next >= self.probe_offset);
         self.probe_offset = next;
     }
@@ -328,11 +321,8 @@ pub fn registry(cfg: TestConfig) -> Vec<Box<dyn Technique>> {
 }
 
 /// The unified measurement report every consumer reads: per-direction
-/// estimates, the technique that produced them, the amenability
-/// verdict (when one was probed), the optional transfer baseline and
-/// gap profile. Serializes to a single JSON line and parses back
-/// ([`Measurement::to_json`] / [`Measurement::from_json`]) so plans
-/// and reports can cross process boundaries.
+/// estimates, the technique that produced them, and the amenability
+/// verdict (when one was probed).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Measurement {
     /// Technique that produced the primary estimates.
@@ -347,10 +337,6 @@ pub struct Measurement {
     pub samples: usize,
     /// Samples indeterminate in both directions.
     pub discarded: usize,
-    /// Reverse-path estimate of the data-transfer baseline, when taken.
-    pub baseline_rev: Option<ReorderEstimate>,
-    /// `(gap_us, forward estimate)` sweep points, when requested.
-    pub gap_points: Vec<(u64, ReorderEstimate)>,
 }
 
 impl Measurement {
@@ -363,95 +349,7 @@ impl Measurement {
             rev: run.rev_estimate(),
             samples: run.samples.len(),
             discarded: run.discarded(),
-            baseline_rev: None,
-            gap_points: Vec::new(),
         }
-    }
-
-    /// Serialize as one JSON line (stable key order, no trailing
-    /// newline). Hand-rolled: the environment has no serde.
-    pub fn to_json(&self) -> String {
-        fn estimate(out: &mut String, e: &ReorderEstimate) {
-            let _ = write!(
-                out,
-                "{{\"reordered\":{},\"total\":{}}}",
-                e.reordered, e.total
-            );
-        }
-        let mut s = String::with_capacity(192);
-        let _ = write!(s, "{{\"kind\":\"{}\",\"verdict\":", self.kind.label());
-        match self.verdict {
-            Some(v) => {
-                let _ = write!(s, "\"{}\"", v.label());
-            }
-            None => s.push_str("null"),
-        }
-        s.push_str(",\"fwd\":");
-        estimate(&mut s, &self.fwd);
-        s.push_str(",\"rev\":");
-        estimate(&mut s, &self.rev);
-        let _ = write!(
-            s,
-            ",\"samples\":{},\"discarded\":{},\"baseline_rev\":",
-            self.samples, self.discarded
-        );
-        match &self.baseline_rev {
-            Some(b) => estimate(&mut s, b),
-            None => s.push_str("null"),
-        }
-        s.push_str(",\"gaps\":[");
-        for (i, (gap, est)) in self.gap_points.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "{{\"gap_us\":{gap},\"fwd\":");
-            estimate(&mut s, est);
-            s.push('}');
-        }
-        s.push_str("]}");
-        s
-    }
-
-    /// Parse a report serialized by [`Measurement::to_json`].
-    pub fn from_json(text: &str) -> Result<Measurement, String> {
-        let doc = jsonx::parse(text)?;
-        let estimate = |v: &Value| -> Result<ReorderEstimate, String> {
-            let (reordered, total) = (v.int("reordered")?, v.int("total")?);
-            if reordered > total {
-                return Err(format!("estimate {reordered}/{total} exceeds its total"));
-            }
-            Ok(ReorderEstimate { reordered, total })
-        };
-        let kind: TestKind = doc
-            .get("kind")?
-            .as_str()?
-            .parse()
-            .map_err(|e: crate::techniques::UnknownTestKind| e.to_string())?;
-        let verdict = match doc.get("verdict")? {
-            Value::Null => None,
-            v => Some(
-                IpidVerdict::from_label(v.as_str()?)
-                    .ok_or_else(|| "unknown verdict label".to_string())?,
-            ),
-        };
-        let baseline_rev = match doc.get("baseline_rev")? {
-            Value::Null => None,
-            v => Some(estimate(v)?),
-        };
-        let mut gap_points = Vec::new();
-        for point in doc.get("gaps")?.items()? {
-            gap_points.push((point.int("gap_us")?, estimate(point.get("fwd")?)?));
-        }
-        Ok(Measurement {
-            kind,
-            verdict,
-            fwd: estimate(doc.get("fwd")?)?,
-            rev: estimate(doc.get("rev")?)?,
-            samples: doc.int("samples")?,
-            discarded: doc.int("discarded")?,
-            baseline_rev,
-            gap_points,
-        })
     }
 }
 
@@ -472,31 +370,32 @@ fn dead_tail(run: &MeasurementRun) -> bool {
             .all(|s| !s.outcome.fwd.is_determinate() && !s.outcome.rev.is_determinate())
 }
 
-/// Builder over a measurement plan: which technique, with what knobs,
-/// and which extras (transfer baseline, gap sweep) to fold into the
-/// single [`Measurement`] it returns.
+/// Builder over one measurement: which technique, with what knobs.
+/// [`Measurer::run`] executes it and returns the [`Measurement`]. A
+/// multi-phase protocol (amenability, measurement rounds, the §III-E
+/// transfer baseline, the §IV-C gap sweep) is a sequence of runs on
+/// one reusing [`Session`]; the survey crate's `pipeline` module is
+/// the per-host protocol the campaign engine runs.
 ///
 /// ```
 /// use reorder_core::measurer::{Measurer, Session};
+/// use reorder_core::sample::TestConfig;
 /// use reorder_core::scenario;
 /// use reorder_core::TestKind;
 ///
 /// let mut sc = scenario::validation_rig(0.10, 0.05, 7);
 /// let mut session = Session::new(&mut sc.prober, sc.target, 80).with_reuse(true);
 /// let m = Measurer::new(TestKind::DualConnection)
-///     .with_samples(40)
-///     .with_baseline(true)
+///     .with_config(TestConfig::samples(40))
 ///     .run(&mut session)
 ///     .expect("measurement");
 /// assert_eq!(m.kind, TestKind::DualConnection);
-/// assert!(m.fwd.total > 0 && m.baseline_rev.is_some());
+/// assert!(m.fwd.total > 0);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct Measurer {
     kind: TestKind,
     cfg: TestConfig,
-    baseline: bool,
-    gaps_us: Vec<u64>,
 }
 
 impl Measurer {
@@ -505,8 +404,6 @@ impl Measurer {
         Measurer {
             kind,
             cfg: TestConfig::default(),
-            baseline: false,
-            gaps_us: Vec::new(),
         }
     }
 
@@ -516,41 +413,9 @@ impl Measurer {
         self
     }
 
-    /// Set the sample count, keeping the other knobs.
-    pub fn with_samples(mut self, samples: usize) -> Measurer {
-        self.cfg.samples = samples;
-        self
-    }
-
-    /// Also take the §III-E data-transfer baseline of the reverse path
-    /// (skipped when the primary technique *is* the transfer test; a
-    /// baseline the target cannot serve is reported as `None`, not an
-    /// error).
-    pub fn with_baseline(mut self, baseline: bool) -> Measurer {
-        self.baseline = baseline;
-        self
-    }
-
-    /// Also sweep the §IV-C inter-packet gap over `gaps_us`
-    /// (microseconds), recording a forward estimate per point.
-    pub fn with_gap_sweep(mut self, gaps_us: Vec<u64>) -> Measurer {
-        self.gaps_us = gaps_us;
-        self
-    }
-
-    /// The planned technique.
-    pub fn kind(&self) -> TestKind {
-        self.kind
-    }
-
-    /// The planned knobs.
-    pub fn config(&self) -> TestConfig {
-        self.cfg
-    }
-
-    /// Execute the plan on `session` and fold every phase into one
-    /// report. On a reusing session the phases share handshakes and
-    /// the amenability verdict.
+    /// Execute the technique on `session` and summarize the run. On a
+    /// reusing session successive runs share handshakes and the
+    /// amenability verdict.
     pub fn run(&self, session: &mut Session<'_>) -> Result<Measurement, ProbeError> {
         if session.over_deadline() {
             return Err(ProbeError::DeadlineExceeded);
@@ -580,22 +445,6 @@ impl Measurer {
             });
         }
         m.verdict = session.verdict();
-        for &gap in &self.gaps_us {
-            if session.over_deadline() {
-                break;
-            }
-            let mut cfg = self.cfg;
-            cfg.gap = std::time::Duration::from_micros(gap);
-            if let Ok(run) = technique(self.kind, cfg).execute(session) {
-                m.gap_points.push((gap, run.fwd_estimate()));
-            }
-        }
-        if self.baseline && self.kind != TestKind::DataTransfer && !session.over_deadline() {
-            m.baseline_rev = technique(TestKind::DataTransfer, TestConfig::default())
-                .execute(session)
-                .ok()
-                .map(|r| r.rev_estimate());
-        }
         Ok(m)
     }
 }
@@ -678,7 +527,9 @@ mod tests {
             Err(ProbeError::DeadlineExceeded)
         ));
         assert!(matches!(
-            Measurer::new(TestKind::Syn).with_samples(5).run(&mut s),
+            Measurer::new(TestKind::Syn)
+                .with_config(TestConfig::samples(5))
+                .run(&mut s),
             Err(ProbeError::DeadlineExceeded)
         ));
     }
@@ -690,86 +541,29 @@ mod tests {
             .with_reuse(true)
             .with_budget(Budget::default());
         let m = Measurer::new(TestKind::DualConnection)
-            .with_samples(20)
+            .with_config(TestConfig::samples(20))
             .run(&mut s)
             .expect("within budget");
         assert!(m.fwd.total > 0);
     }
 
     #[test]
-    fn measurement_json_round_trip() {
-        let m = Measurement {
-            kind: TestKind::DualConnection,
-            verdict: Some(IpidVerdict::Amenable),
-            fwd: ReorderEstimate::new(3, 40),
-            rev: ReorderEstimate::new(1, 38),
-            samples: 40,
-            discarded: 2,
-            baseline_rev: Some(ReorderEstimate::new(0, 12)),
-            gap_points: vec![
-                (0, ReorderEstimate::new(3, 10)),
-                (100, ReorderEstimate::new(1, 10)),
-            ],
-        };
-        let line = m.to_json();
-        assert!(line.starts_with("{\"kind\":\"dual\",\"verdict\":\"amenable\""));
-        assert!(!line.contains('\n'));
-        assert_eq!(Measurement::from_json(&line).expect("parse"), m);
-
-        let empty = Measurement {
-            kind: TestKind::Syn,
-            verdict: None,
-            fwd: ReorderEstimate::default(),
-            rev: ReorderEstimate::default(),
-            samples: 0,
-            discarded: 0,
-            baseline_rev: None,
-            gap_points: Vec::new(),
-        };
-        assert_eq!(
-            Measurement::from_json(&empty.to_json()).expect("parse"),
-            empty
-        );
-    }
-
-    #[test]
-    fn measurement_json_rejects_garbage() {
-        assert!(Measurement::from_json("").is_err());
-        assert!(Measurement::from_json("{}").is_err());
-        assert!(Measurement::from_json("{\"kind\":\"warp\"}").is_err());
-        let m = Measurement::from_run(TestKind::Syn, &MeasurementRun::default());
-        let line = m.to_json();
-        assert!(Measurement::from_json(&line[..line.len() - 1]).is_err());
-        // Nesting is bounded, so a hostile document cannot overflow
-        // the stack.
-        assert!(Measurement::from_json(&"[".repeat(200_000)).is_err());
-        // `reordered > total` is corrupt input, not a panic.
-        let over = line.replace(
-            "\"fwd\":{\"reordered\":0,\"total\":0}",
-            "\"fwd\":{\"reordered\":2,\"total\":1}",
-        );
-        assert_ne!(over, line);
-        assert!(Measurement::from_json(&over).is_err());
-    }
-
-    #[test]
-    fn measurer_folds_baseline_and_gaps_into_one_report() {
+    fn successive_runs_share_one_reusing_session() {
         let mut sc = scenario::validation_rig(0.1, 0.0, 303);
         let mut s = Session::new(&mut sc.prober, sc.target, 80).with_reuse(true);
-        let m = Measurer::new(TestKind::DualConnection)
-            .with_samples(20)
-            .with_baseline(true)
-            .with_gap_sweep(vec![0, 50])
-            .run(&mut s)
-            .expect("measurement");
+        let plan = Measurer::new(TestKind::DualConnection).with_config(TestConfig::samples(20));
+        let m = plan.run(&mut s).expect("measurement");
         assert_eq!(m.kind, TestKind::DualConnection);
         assert_eq!(m.verdict, Some(IpidVerdict::Amenable));
         assert_eq!(m.samples, 20);
         assert!(m.fwd.total > 0);
-        assert!(m.baseline_rev.is_some());
-        assert_eq!(m.gap_points.len(), 2);
-        // The amenability validation ran once; the gap sweep reused the
-        // two measurement connections instead of re-handshaking.
+        // A second phase at another gap, as the §IV-C sweep runs it.
+        let mut cfg = TestConfig::samples(20);
+        cfg.gap = std::time::Duration::from_micros(50);
+        let swept = plan.with_config(cfg).run(&mut s).expect("gap phase");
+        assert!(swept.fwd.total > 0);
+        // The amenability validation ran once; the second run reused
+        // the two measurement connections instead of re-handshaking.
         assert_eq!(s.stats().validations, 1);
         assert!(s.stats().reused >= 2, "stats {:?}", s.stats());
     }

@@ -161,16 +161,6 @@ impl Cdf {
         Cdf { sorted: values }
     }
 
-    /// Number of observations.
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
-    }
-
     /// Fraction of observations ≤ `x`.
     pub fn fraction_at_most(&self, x: f64) -> f64 {
         if self.sorted.is_empty() {
@@ -347,7 +337,7 @@ mod tests {
     #[test]
     fn cdf_basics() {
         let c = Cdf::new(vec![0.0, 0.1, 0.1, 0.4]);
-        assert_eq!(c.len(), 4);
+        assert_eq!(c.sorted.len(), 4);
         assert!((c.fraction_at_most(0.0) - 0.25).abs() < 1e-12);
         assert!((c.fraction_at_most(0.1) - 0.75).abs() < 1e-12);
         assert!((c.fraction_at_most(1.0) - 1.0).abs() < 1e-12);

@@ -104,7 +104,7 @@ impl Prober {
     /// Tear the prober down and hand the simulator back — the path a
     /// [`crate::scenario::ScenarioPool`] uses to recycle a finished
     /// scenario's allocations into the next host's build.
-    pub fn into_sim(self) -> Simulator {
+    pub(crate) fn into_sim(self) -> Simulator {
         self.sim
     }
 
@@ -117,7 +117,7 @@ impl Prober {
     }
 
     /// Allocate an ephemeral source port.
-    pub fn alloc_port(&mut self) -> u16 {
+    pub(crate) fn alloc_port(&mut self) -> u16 {
         let p = self.next_port;
         self.next_port = if self.next_port >= 60000 {
             33000
@@ -130,7 +130,7 @@ impl Prober {
     /// Allocate a probe IPID. The prober stamps sequential IPIDs on its
     /// own packets so capture traces can identify each probe uniquely
     /// (the validation analysis of §IV-A keys on this).
-    pub fn alloc_ipid(&mut self) -> IpId {
+    pub(crate) fn alloc_ipid(&mut self) -> IpId {
         let id = IpId(self.next_ipid);
         self.next_ipid = self.next_ipid.wrapping_add(1);
         if self.next_ipid == 0 {
@@ -140,7 +140,7 @@ impl Prober {
     }
 
     /// Allocate an initial sequence number.
-    pub fn alloc_iss(&mut self) -> SeqNum {
+    pub(crate) fn alloc_iss(&mut self) -> SeqNum {
         self.iss_counter = self.iss_counter.wrapping_add(0x0001_0000);
         SeqNum(self.iss_counter)
     }
@@ -164,7 +164,7 @@ impl Prober {
     /// Wait until `deadline` for a packet matching `pred`, consuming it
     /// from the receive buffer. Non-matching packets stay buffered for
     /// later calls.
-    pub fn recv_where<F>(&mut self, mut pred: F, timeout: Duration) -> Option<RxPacket>
+    pub(crate) fn recv_where<F>(&mut self, mut pred: F, timeout: Duration) -> Option<RxPacket>
     where
         F: FnMut(&Packet) -> bool,
     {
@@ -201,7 +201,12 @@ impl Prober {
 
     /// Collect up to `n` packets matching `pred` before `timeout`
     /// elapses; returns what arrived (possibly fewer).
-    pub fn recv_n_where<F>(&mut self, mut pred: F, n: usize, timeout: Duration) -> Vec<RxPacket>
+    pub(crate) fn recv_n_where<F>(
+        &mut self,
+        mut pred: F,
+        n: usize,
+        timeout: Duration,
+    ) -> Vec<RxPacket>
     where
         F: FnMut(&Packet) -> bool,
     {
@@ -226,13 +231,8 @@ impl Prober {
         self.buffer.clear();
     }
 
-    /// Number of packets sitting in the receive buffer (diagnostics).
-    pub fn buffered(&self) -> usize {
-        self.buffer.len()
-    }
-
     /// Build a TCP packet from `conn`'s 4-tuple with a fresh probe IPID.
-    pub fn tcp_pkt(&mut self, conn: &ClientConn) -> PacketBuilder {
+    pub(crate) fn tcp_pkt(&mut self, conn: &ClientConn) -> PacketBuilder {
         let ipid = self.alloc_ipid();
         PacketBuilder::tcp()
             .src(conn.flow.src, conn.flow.src_port)

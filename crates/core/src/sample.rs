@@ -22,7 +22,7 @@ pub enum Order {
 
 impl Order {
     /// True for `Reordered`.
-    pub fn is_reordered(self) -> bool {
+    pub(crate) fn is_reordered(self) -> bool {
         self == Order::Reordered
     }
 
@@ -43,7 +43,7 @@ pub struct SampleOutcome {
 
 impl SampleOutcome {
     /// Entirely indeterminate sample (discarded by estimators).
-    pub const DISCARD: SampleOutcome = SampleOutcome {
+    pub(crate) const DISCARD: SampleOutcome = SampleOutcome {
         fwd: Order::Indeterminate,
         rev: Order::Indeterminate,
     };
@@ -114,7 +114,7 @@ impl PacketMatcher {
     }
 
     /// Require at least `n` payload bytes.
-    pub fn min_data(mut self, n: usize) -> Self {
+    pub(crate) fn min_data(mut self, n: usize) -> Self {
         self.min_data = n;
         self
     }

@@ -17,9 +17,7 @@ use reorder_netsim::pipes::{
     FaultGate, LoadBalancer, MultipathRoute, RandomLoss, SplitMode, StripingLink, WirelessArq,
     DOWN, UP,
 };
-use reorder_netsim::{
-    rng as simrng, LinkParams, Mailbox, NodeId, Port, Simulator, Trace, TraceHandle,
-};
+use reorder_netsim::{rng as simrng, LinkParams, Mailbox, Port, Simulator, Trace, TraceHandle};
 use reorder_tcpstack::{HostPersonality, TcpHost, TcpHostConfig};
 use reorder_wire::Ipv4Addr4;
 use std::time::Duration;
@@ -86,7 +84,7 @@ impl Scenario {
 /// order), so this is a reserve-sized k-way merge rather than a
 /// flatten-and-sort. Ties break stably: earlier handles in the slice
 /// win, and within one handle the capture order is preserved.
-pub fn merge_traces(handles: &[TraceHandle]) -> Trace {
+pub(crate) fn merge_traces(handles: &[TraceHandle]) -> Trace {
     let borrowed: Vec<_> = handles.iter().map(|h| h.borrow()).collect();
     let total: usize = borrowed.iter().map(|t| t.len()).sum();
     let mut out = Vec::with_capacity(total);
@@ -579,7 +577,8 @@ impl ScenarioPool {
     }
 
     /// Whether recycling is on.
-    pub fn is_enabled(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_enabled(&self) -> bool {
         self.enabled
     }
 
@@ -787,11 +786,6 @@ fn build_internet_host(mut sim: Simulator, spec: &HostSpec, taps: bool) -> Scena
     }
 }
 
-/// Which node is the probe host (for tests needing extra wiring).
-pub fn probe_node(_sc: &Scenario) -> NodeId {
-    NodeId(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -843,7 +837,7 @@ mod tests {
 
     #[test]
     fn merge_traces_breaks_ties_stably() {
-        use reorder_netsim::{Dir, SimTime, TraceRecord};
+        use reorder_netsim::{Dir, NodeId, SimTime, TraceRecord};
         use std::cell::RefCell;
         use std::rc::Rc;
 

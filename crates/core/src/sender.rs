@@ -16,7 +16,6 @@
 //! raising/adapting `dupthresh` wins it back.
 
 use crate::probe::{ProbeError, Prober};
-use reorder_netsim::SimTime;
 use reorder_wire::{Ipv4Addr4, TcpFlags};
 use std::time::Duration;
 
@@ -246,11 +245,6 @@ pub fn run_transfer(
         timeouts,
         final_dupthresh: thresh,
     })
-}
-
-/// Convenience: elapsed simulated time guard for tests.
-pub fn sim_elapsed(start: SimTime, p: &Prober) -> Duration {
-    p.now().since(start)
 }
 
 #[cfg(test)]

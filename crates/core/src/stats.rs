@@ -35,7 +35,7 @@ pub fn stddev(xs: &[f64]) -> f64 {
 /// confidence level. Only the levels used by the experiments are
 /// tabulated; anything else panics loudly rather than silently
 /// approximating.
-pub fn z_critical(confidence: f64) -> f64 {
+pub(crate) fn z_critical(confidence: f64) -> f64 {
     // (confidence, z)
     const TABLE: &[(f64, f64)] = &[
         (0.90, 1.6449),
@@ -99,9 +99,9 @@ fn sketch_rep(key: i32) -> f64 {
 ///   any order, merges to the same sketch. That is what makes a
 ///   sharded campaign summary independent of the worker count.
 /// * **NaN quarantine.** NaN observations land in [`QuantileSketch::nans`]
-///   and never a bucket, matching `reorder-survey`'s
-///   `RateHistogram::nans` upstream (the PR 5 rule: a NaN must not
-///   fatten the heavy tail).
+///   and never a bucket, so the Fig. 5 rows `reorder-survey` renders
+///   from the sketch never count one (a NaN must not fatten the heavy
+///   tail).
 /// * **Checkpointable.** [`QuantileSketch::to_json`] /
 ///   [`QuantileSketch::from_json`] round-trip the exact state, the
 ///   persistence primitive for interrupted-campaign resume.
@@ -152,7 +152,8 @@ impl QuantileSketch {
     }
 
     /// Observations that were exactly zero (or subnormal).
-    pub fn zeros(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn zeros(&self) -> u64 {
         self.zero
     }
 
@@ -359,7 +360,7 @@ impl Moments {
     /// Unbiased sample variance (0 for n < 2, matching [`variance`]).
     /// Computed from the exact integer sums; clamped at zero against
     /// cancellation on near-constant series.
-    pub fn variance(&self) -> f64 {
+    pub(crate) fn variance(&self) -> f64 {
         if self.n < 2 {
             return 0.0;
         }
@@ -375,7 +376,8 @@ impl Moments {
     }
 
     /// Normal-approximation confidence interval for the mean at a
-    /// tabulated `confidence` level (see [`z_critical`]).
+    /// tabulated `confidence` level: 0.90, 0.95, 0.99, 0.995 or 0.999;
+    /// any other level panics.
     pub fn ci(&self, confidence: f64) -> (f64, f64) {
         if self.n == 0 {
             return (0.0, 0.0);

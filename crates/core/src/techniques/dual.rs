@@ -49,17 +49,6 @@ impl IpidVerdict {
         }
     }
 
-    /// Inverse of [`IpidVerdict::label`], for report deserialization.
-    pub fn from_label(s: &str) -> Option<IpidVerdict> {
-        [
-            IpidVerdict::Amenable,
-            IpidVerdict::ConstantZero,
-            IpidVerdict::NonMonotonic,
-        ]
-        .into_iter()
-        .find(|v| v.label() == s)
-    }
-
     /// Human-readable explanation.
     pub fn describe(self) -> &'static str {
         match self {

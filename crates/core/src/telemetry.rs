@@ -70,7 +70,7 @@ pub enum TelemetryMode {
 
 impl TelemetryMode {
     /// Every accepted spelling, for error messages and usage text.
-    pub const ACCEPTED: [&'static str; 3] = ["off", "summary", "full"];
+    pub(crate) const ACCEPTED: [&'static str; 3] = ["off", "summary", "full"];
 
     /// Exhaustive, case-sensitive parse; the error lists the accepted
     /// set.
@@ -120,15 +120,9 @@ impl fmt::Display for TelemetryMode {
 pub struct Stopwatch(Option<Instant>);
 
 impl Stopwatch {
-    /// A stopwatch that never ran (what [`TelemetryMode::Off`] hands
-    /// out); recording it is a no-op.
-    pub fn empty() -> Stopwatch {
-        Stopwatch(None)
-    }
-
     /// Seconds since [`TelemetryMode::start`], or `None` for an empty
     /// stopwatch.
-    pub fn elapsed_secs(self) -> Option<f64> {
+    pub(crate) fn elapsed_secs(self) -> Option<f64> {
         self.0.map(|t| t.elapsed().as_secs_f64())
     }
 }
@@ -146,7 +140,7 @@ pub struct SpanStats {
 
 impl SpanStats {
     /// Fold in one span duration.
-    pub fn record(&mut self, mode: TelemetryMode, secs: f64) {
+    pub(crate) fn record(&mut self, mode: TelemetryMode, secs: f64) {
         self.secs.push(secs);
         if mode == TelemetryMode::Full {
             self.sketch.push(secs);
@@ -165,7 +159,7 @@ impl SpanStats {
 
     /// Combine two accumulators — exactly associative and commutative
     /// ([`Moments::merge`] / [`QuantileSketch::merge`]).
-    pub fn merge(&mut self, other: &SpanStats) {
+    pub(crate) fn merge(&mut self, other: &SpanStats) {
         self.secs = self.secs.merge(&other.secs);
         self.sketch.merge(&other.sketch);
     }
@@ -173,17 +167,12 @@ impl SpanStats {
     /// Serialize the exact accumulator state (integer fixed-point
     /// moments plus sketch buckets) — the checkpoint form, distinct
     /// from the rounded display document in `WorkerTelemetry::to_json`.
-    pub fn state_json(&self) -> String {
+    pub(crate) fn state_json(&self) -> String {
         format!(
             "{{\"secs\":{},\"sketch\":{}}}",
             self.secs.to_json(),
             self.sketch.to_json()
         )
-    }
-
-    /// Parse a [`SpanStats::state_json`] document back bit-exactly.
-    pub fn from_state_json(text: &str) -> Result<SpanStats, String> {
-        SpanStats::from_state_value(&jsonx::parse(text)?)
     }
 
     fn from_state_value(v: &Value) -> Result<SpanStats, String> {
@@ -229,11 +218,6 @@ impl WorkerTelemetry {
         self.counters.get(key).copied().unwrap_or(0)
     }
 
-    /// All counters, in key order.
-    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counters.iter().map(|(&k, &v)| (k, v))
-    }
-
     /// All span statistics, in key order.
     pub fn spans(&self) -> impl Iterator<Item = (&'static str, &SpanStats)> + '_ {
         self.spans.iter().map(|(&k, v)| (k, v))
@@ -259,7 +243,7 @@ impl WorkerTelemetry {
     }
 
     /// Absorb another worker's telemetry. Counters add; span stats
-    /// merge via [`SpanStats::merge`]. Exactly associative and
+    /// merge bucket by bucket. Exactly associative and
     /// commutative with [`WorkerTelemetry::new`] as identity.
     pub fn merge(&mut self, other: &WorkerTelemetry) {
         for (&k, &v) in &other.counters {

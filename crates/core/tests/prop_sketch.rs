@@ -99,8 +99,8 @@ proptest! {
     }
 
     /// NaNs are quarantined: they count in `nans()`, never in `count()`,
-    /// and never move any quantile (the PR 5 `RateHistogram::nans` rule —
-    /// a NaN must not fatten the heavy tail). Quarantine survives merge.
+    /// and never move any quantile (a NaN must not fatten the heavy
+    /// tail of the Fig. 5 rows). Quarantine survives merge.
     #[test]
     fn sketch_quarantines_nans(xs in arb_stream(60), nans in 0usize..6) {
         let clean = sketch_of(&xs);

@@ -1,11 +1,14 @@
-//! Public-API snapshot: a golden file of every `pub` item declaration
-//! in `reorder-core`, so an API change (added, removed or re-signed
-//! export) shows up as a reviewable diff in `tests/public_api.txt`
-//! instead of sliding through unnoticed. The same job `cargo
-//! public-api` does, implemented offline against the crate source.
+//! Public-API snapshots: one golden file per library crate listing
+//! every `pub` item declaration, so an API change (added, removed or
+//! re-signed export) shows up as a reviewable diff instead of sliding
+//! through unnoticed. The same job `cargo public-api` does,
+//! implemented offline against the crate sources. `reorder-core`'s
+//! snapshot is `tests/public_api.txt`; `reorder-netsim`'s and
+//! `reorder-survey`'s sit beside it as `tests/public_api_netsim.txt`
+//! and `tests/public_api_survey.txt`.
 //!
 //! On mismatch, inspect the assertion output; if the change is
-//! intended, regenerate with
+//! intended, regenerate all three with
 //!
 //! ```sh
 //! REORDER_API_BLESS=1 cargo test -p reorder-core --test public_api
@@ -159,18 +162,35 @@ fn source_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-fn snapshot() -> String {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+/// The snapshotted crates: package name, source directory relative to
+/// this crate's manifest, golden file relative to this crate's
+/// manifest.
+const CRATES: [(&str, &str, &str); 3] = [
+    ("reorder-core", "src", "tests/public_api.txt"),
+    (
+        "reorder-netsim",
+        "../netsim/src",
+        "tests/public_api_netsim.txt",
+    ),
+    (
+        "reorder-survey",
+        "../survey/src",
+        "tests/public_api_survey.txt",
+    ),
+];
+
+fn snapshot(package: &str, src: &str) -> String {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join(src);
     let mut files = Vec::new();
     source_files(&root, &mut files);
-    let mut out = String::from(
-        "# reorder-core public API snapshot (one `pub` declaration per line).\n\
+    let mut out = format!(
+        "# {package} public API snapshot (one `pub` declaration per line).\n\
          # Regenerate: REORDER_API_BLESS=1 cargo test -p reorder-core --test public_api\n",
     );
-    let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let crate_dir = root.parent().unwrap_or(&root);
     for path in files {
         let rel = path
-            .strip_prefix(manifest)
+            .strip_prefix(crate_dir)
             .unwrap_or(&path)
             .to_string_lossy()
             .replace('\\', "/");
@@ -189,29 +209,33 @@ fn snapshot() -> String {
 
 #[test]
 fn public_api_matches_snapshot() {
-    let golden_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/public_api.txt");
-    let current = snapshot();
-    if std::env::var_os("REORDER_API_BLESS").is_some() {
-        fs::write(&golden_path, &current).expect("write golden file");
-        return;
+    let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let bless = std::env::var_os("REORDER_API_BLESS").is_some();
+    for (package, src, golden) in CRATES {
+        let golden_path = manifest.join(golden);
+        let current = snapshot(package, src);
+        if bless {
+            fs::write(&golden_path, &current).expect("write golden file");
+            continue;
+        }
+        let expected = fs::read_to_string(&golden_path).unwrap_or_default();
+        assert!(
+            expected == current,
+            "{package}'s public API changed.\n\
+             If intended, regenerate the snapshots with\n\
+             REORDER_API_BLESS=1 cargo test -p reorder-core --test public_api\n\
+             and commit {golden} with the API change.\n\n\
+             --- expected ({golden}) ---\n{expected}\n\
+             --- actual ---\n{current}"
+        );
     }
-    let golden = fs::read_to_string(&golden_path).unwrap_or_default();
-    assert!(
-        golden == current,
-        "reorder-core's public API changed.\n\
-         If intended, regenerate the snapshot with\n\
-         REORDER_API_BLESS=1 cargo test -p reorder-core --test public_api\n\
-         and commit tests/public_api.txt with the API change.\n\n\
-         --- expected (tests/public_api.txt) ---\n{golden}\n\
-         --- actual ---\n{current}"
-    );
 }
 
 #[test]
 fn snapshot_sees_the_measurement_api() {
     // Self-check of the extractor: the tentpole exports must be in the
     // snapshot, and private-module internals must not leak into it.
-    let s = snapshot();
+    let s = snapshot("reorder-core", "src");
     for needle in [
         "pub trait Technique",
         "pub struct Session<'p>",

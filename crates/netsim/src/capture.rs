@@ -47,7 +47,8 @@ impl Trace {
     }
 
     /// Clear a live handle (start a fresh measurement window).
-    pub fn reset(h: &TraceHandle) {
+    #[cfg(test)]
+    pub(crate) fn reset(h: &TraceHandle) {
         h.borrow_mut().clear();
     }
 
@@ -66,7 +67,8 @@ impl Trace {
 
     /// Arrival order of the TCP sequence numbers of data packets in
     /// `key`'s direction — the ground-truth view of forward-path order.
-    pub fn data_seq_order(&self, key: FlowKey) -> Vec<u32> {
+    #[cfg(test)]
+    pub(crate) fn data_seq_order(&self, key: FlowKey) -> Vec<u32> {
         self.0
             .iter()
             .filter(|r| r.pkt.flow() == Some(key))
@@ -80,7 +82,8 @@ impl Trace {
     /// packets") applied to a ground-truth arrival sequence. Equals the
     /// inversion count, computed by [`count_inversions`] in
     /// O(n log n) rather than the bubble-sort O(n²) form.
-    pub fn exchanges(order: &[u32]) -> usize {
+    #[cfg(test)]
+    pub(crate) fn exchanges(order: &[u32]) -> usize {
         count_inversions(order)
     }
 

@@ -135,7 +135,6 @@ enum Action {
 /// Execution context handed to a device during event handling.
 pub struct Ctx<'a> {
     now: SimTime,
-    node: NodeId,
     actions: &'a mut Vec<Action>,
 }
 
@@ -143,11 +142,6 @@ impl Ctx<'_> {
     /// Current simulation time.
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// The node being invoked (useful for diagnostics).
-    pub fn node(&self) -> NodeId {
-        self.node
     }
 
     /// Queue a packet for transmission out of `port`. Serialization and
@@ -368,7 +362,8 @@ impl Simulator {
     }
 
     /// Events currently queued (diagnostics).
-    pub fn pending_events(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn pending_events(&self) -> usize {
         self.queue.len()
     }
 
@@ -397,11 +392,6 @@ impl Simulator {
         id
     }
 
-    /// Diagnostic name of a node.
-    pub fn node_name(&self, id: NodeId) -> &str {
-        &self.names[id.0]
-    }
-
     /// Connect `a`'s port `pa` to `b`'s port `pb` with symmetric link
     /// parameters. Panics if either port is already wired.
     pub fn connect(&mut self, a: NodeId, pa: Port, b: NodeId, pb: Port, params: LinkParams) {
@@ -410,7 +400,7 @@ impl Simulator {
 
     /// Connect with distinct parameters per direction (`ab` applies to
     /// packets from `a` to `b`, and is wired first).
-    pub fn connect_asym(
+    pub(crate) fn connect_asym(
         &mut self,
         a: NodeId,
         pa: Port,
@@ -474,7 +464,7 @@ impl Simulator {
 
     /// Schedule a timer for `node` (external-agent counterpart of
     /// [`Ctx::set_timer`]).
-    pub fn schedule_timer(&mut self, node: NodeId, delay: Duration, token: u64) {
+    pub(crate) fn schedule_timer(&mut self, node: NodeId, delay: Duration, token: u64) {
         let key = next_key(id_field(node.0), &mut self.timers[node.0]);
         self.push(self.now + delay, key, EventKind::Timer { node, token });
     }
@@ -667,7 +657,6 @@ impl Simulator {
             dev.as_mut(),
             &mut Ctx {
                 now: self.now,
-                node,
                 actions: &mut actions,
             },
         );

@@ -16,8 +16,8 @@
 //! * in-path pipes: the modified-dummynet adjacent-swap reorderer, a
 //!   per-packet striping link with Poisson cross traffic (the physical
 //!   reordering model of §IV-C), a transparent per-flow load balancer
-//!   (the Dual Connection Test's nemesis), random loss, jitter, and a
-//!   token-bucket policer ([`pipes`]),
+//!   (the Dual Connection Test's nemesis), random loss and jitter
+//!   ([`pipes`]),
 //! * capture taps providing the ground-truth traces of §IV-A
 //!   ([`capture`]),
 //! * a [`Mailbox`] endpoint that lets measurement code outside the event
@@ -41,6 +41,6 @@ pub mod time;
 
 pub use capture::{Dir, Trace, TraceHandle, TraceRecord};
 pub use engine::{Ctx, Device, NodeId, Port, Simulator};
-pub use link::{LinkParams, LinkState, Offer};
+pub use link::LinkParams;
 pub use mailbox::{drain, Mailbox, MailboxQueue, RxPacket};
 pub use time::{serialization_delay, SimTime};

@@ -37,19 +37,22 @@ impl LinkParams {
     }
 
     /// Override the rate.
-    pub fn with_rate(mut self, bits_per_sec: u64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_rate(mut self, bits_per_sec: u64) -> Self {
         self.bits_per_sec = bits_per_sec;
         self
     }
 
     /// Override the propagation delay.
-    pub fn with_propagation(mut self, d: Duration) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_propagation(mut self, d: Duration) -> Self {
         self.propagation = d;
         self
     }
 
     /// Override the queue limit.
-    pub fn with_queue_limit(mut self, pkts: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_queue_limit(mut self, pkts: usize) -> Self {
         self.queue_limit = Some(pkts);
         self
     }
@@ -63,7 +66,7 @@ impl Default for LinkParams {
 
 /// Dynamic state of one direction of a link.
 #[derive(Debug, Clone)]
-pub struct LinkState {
+pub(crate) struct LinkState {
     /// Parameters.
     pub params: LinkParams,
     /// Time at which the transmitter finishes everything queued so far.
@@ -80,7 +83,7 @@ pub struct LinkState {
 
 /// Outcome of offering a packet to a link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Offer {
+pub(crate) enum Offer {
     /// Packet accepted; it will arrive at the far end at this time.
     Arrives(SimTime),
     /// Queue full; packet dropped.

@@ -14,7 +14,7 @@ const LINKTYPE_RAW: u32 = 101;
 const SNAPLEN: u32 = 65_535;
 
 /// Serialize a trace to pcap bytes (records in trace order).
-pub fn to_pcap_bytes(trace: &Trace) -> Vec<u8> {
+pub(crate) fn to_pcap_bytes(trace: &Trace) -> Vec<u8> {
     let mut out = BytesMut::with_capacity(24 + trace.0.len() * 64);
     out.put_u32_le(MAGIC);
     out.put_u16_le(2); // version major

@@ -49,7 +49,7 @@ impl LoadBalancer {
     }
 
     /// The backend port a flow would be pinned to (for test assertions).
-    pub fn pin(&self, pkt: &Packet) -> usize {
+    pub(crate) fn pin(&self, pkt: &Packet) -> usize {
         match pkt.flow() {
             Some(f) => (f.stable_hash() % self.backends as u64) as usize,
             // Non-TCP traffic (e.g. ICMP) hashes on addresses only.

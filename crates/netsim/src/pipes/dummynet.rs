@@ -92,12 +92,14 @@ impl DummynetReorder {
     }
 
     /// Total completed swaps in the given direction (0 = fwd, 1 = rev).
-    pub fn swaps(&self, dir: usize) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn swaps(&self, dir: usize) -> u64 {
         self.dirs[dir].swaps
     }
 
     /// Holds released unswapped by timeout, per direction.
-    pub fn hold_timeouts(&self, dir: usize) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn hold_timeouts(&self, dir: usize) -> u64 {
         self.dirs[dir].timeouts
     }
 

@@ -1,8 +1,8 @@
 //! In-path devices ("pipes", after dummynet's terminology).
 //!
 //! Every pipe is a two-or-more-port [`crate::Device`] that forwards
-//! traffic while perturbing it: swapping, striping, balancing, dropping,
-//! delaying or policing. Pipes compose by chaining links, exactly like
+//! traffic while perturbing it: swapping, striping, balancing, dropping
+//! or delaying. Pipes compose by chaining links, exactly like
 //! the authors' FreeBSD router sat between their probe host and the
 //! measured path.
 
@@ -13,7 +13,6 @@ mod forward;
 mod jitter;
 mod loss;
 mod multipath;
-mod ratelimit;
 mod stationary;
 mod striping;
 mod token;
@@ -26,8 +25,7 @@ pub use forward::Forwarder;
 pub use jitter::DelayJitter;
 pub use loss::RandomLoss;
 pub use multipath::{MultipathRoute, SplitMode};
-pub use ratelimit::{PoliceClass, RateLimiter};
-pub use stationary::{CrossTrafficModel, StationarySampler};
+pub use stationary::CrossTrafficModel;
 pub use striping::{CrossTraffic, StripingLink};
 pub use wireless::{ArqConfig, WirelessArq};
 

@@ -74,7 +74,8 @@ impl MultipathRoute {
 
     /// Largest pairwise delay difference — the gap beyond which
     /// per-packet splitting can no longer reorder.
-    pub fn max_skew(&self) -> Duration {
+    #[cfg(test)]
+    pub(crate) fn max_skew(&self) -> Duration {
         let min = self.delays.iter().min().copied().unwrap_or_default();
         let max = self.delays.iter().max().copied().unwrap_or_default();
         max - min

@@ -83,7 +83,7 @@ impl CrossTrafficModel {
 /// Precomputed stationary-workload sampler for one striped queue
 /// configuration (all queues of a stripe share it — they are i.i.d.).
 #[derive(Debug, Clone, Copy)]
-pub struct StationarySampler {
+pub(crate) struct StationarySampler {
     /// Offered utilization ρ = λ·E[S] (also the busy probability).
     rho: f64,
     /// ln ρ, precomputed for the inverse transform (`f64::NEG_INFINITY`
@@ -123,19 +123,21 @@ impl StationarySampler {
     /// The busy probability ρ (equals
     /// [`CrossTraffic::utilization`] — the stability contract is shared
     /// between models).
-    pub fn rho(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn rho(&self) -> f64 {
         self.rho
     }
 
     /// Mean of the nonzero-backlog tail, nanoseconds (1/η) — the
     /// e-folding gap of the §IV-C reordering decay.
-    pub fn tail_mean_ns(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn tail_mean_ns(&self) -> f64 {
         self.tail_mean_ns
     }
 
     /// Draw a stationary backlog, in nanoseconds. Exactly one `f64`
     /// draw from `rng` per call, whatever the outcome.
-    pub fn sample_ns(&self, rng: &mut SmallRng) -> u64 {
+    pub(crate) fn sample_ns(&self, rng: &mut SmallRng) -> u64 {
         // Strictly positive u keeps ln(u) finite; the resulting V is
         // bounded by (745 + ln ρ)·tail_mean — microseconds-scale here,
         // far below SimTime's range.

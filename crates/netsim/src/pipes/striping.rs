@@ -73,7 +73,7 @@ impl CrossTraffic {
     }
 
     /// Offered load per queue as a fraction of `bits_per_sec`.
-    pub fn utilization(&self, bits_per_sec: u64) -> f64 {
+    pub(crate) fn utilization(&self, bits_per_sec: u64) -> f64 {
         self.bursts_per_sec * self.mean_burst_bytes * 8.0 / bits_per_sec as f64
     }
 }

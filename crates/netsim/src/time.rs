@@ -45,13 +45,9 @@ impl SimTime {
         self.0
     }
 
-    /// Whole microseconds since simulation start.
-    pub const fn as_micros(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// Seconds since simulation start, as a float (for reporting).
-    pub fn as_secs_f64(self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
     }
 
@@ -137,7 +133,7 @@ mod tests {
     fn arithmetic() {
         let t = SimTime::from_micros(10);
         let u = t + Duration::from_micros(5);
-        assert_eq!(u.as_micros(), 15);
+        assert_eq!(u, SimTime::from_micros(15));
         assert_eq!(u - t, Duration::from_micros(5));
         assert_eq!(t - u, Duration::ZERO); // saturating
     }

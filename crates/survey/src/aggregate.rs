@@ -51,106 +51,37 @@ fn est_pair(v: &Value) -> Result<ReorderEstimate, String> {
     }
 }
 
-/// Upper bucket bounds of [`RateHistogram`] (a first bucket catches
-/// exact zero). Chosen to resolve the Fig. 5 range: most hosts near
-/// zero, a tail out to tens of percent.
-pub const RATE_BUCKETS: [f64; 8] = [0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 1.0];
+/// Upper bucket bounds of the rendered Fig. 5 rate histogram (a first
+/// bucket catches exact zero). Chosen to resolve the Fig. 5 range:
+/// most hosts near zero, a tail out to tens of percent.
+const RATE_BUCKETS: [f64; 8] = [0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 1.0];
 
-/// Fixed-bucket histogram over per-host reordering rates — the
-/// streaming stand-in for the Fig. 5 CDF.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RateHistogram {
-    zero: u64,
-    counts: [u64; RATE_BUCKETS.len()],
-    /// NaN inputs, quarantined: every `NaN <= bound` comparison is
-    /// false, so without this counter a NaN rate would fall through
-    /// the bucket scan into the top (25%, 100%] bucket and silently
-    /// fatten the heavy-reordering tail.
-    nan: u64,
-}
-
-impl RateHistogram {
-    /// Fold in one host's rate. A NaN rate (no upstream caller
-    /// produces one today — pushes are gated on `total > 0`) is
-    /// counted in [`RateHistogram::nans`] rather than mis-bucketed.
-    pub fn push(&mut self, rate: f64) {
-        if rate.is_nan() {
-            self.nan += 1;
-            return;
-        }
-        if rate <= 0.0 {
-            self.zero += 1;
-            return;
-        }
-        for (i, &ub) in RATE_BUCKETS.iter().enumerate() {
-            if rate <= ub {
-                self.counts[i] += 1;
-                return;
-            }
-        }
-        self.counts[RATE_BUCKETS.len() - 1] += 1;
+/// The Fig. 5 histogram rows, `(label, hosts)`, zero bucket first,
+/// read straight from the per-host rate sketch. Each sketch bucket's
+/// count lands in the rate bucket containing its representative
+/// value, so a row can differ from bucketing the raw rates only for
+/// rates within the sketch's ε of a bucket edge. NaN rates are
+/// quarantined by the sketch and appear in no row (every `NaN <=
+/// bound` is false, so bucketing one would fatten the top bucket);
+/// negative mass, which nothing upstream produces, files under zero.
+fn fig5_rows(sketch: &QuantileSketch) -> Vec<(String, u64)> {
+    let mut counts = [0u64; RATE_BUCKETS.len()];
+    let mut positive = 0;
+    for (rep, count) in sketch.positive_buckets() {
+        positive += count;
+        let i = RATE_BUCKETS
+            .iter()
+            .position(|&ub| rep <= ub)
+            .unwrap_or(RATE_BUCKETS.len() - 1);
+        counts[i] += count;
     }
-
-    /// Total observations, including quarantined NaN inputs.
-    pub fn total(&self) -> u64 {
-        self.zero + self.nan + self.counts.iter().sum::<u64>()
+    let mut rows = vec![("0".to_string(), sketch.count() - positive)];
+    let mut lo = 0.0;
+    for (&ub, &count) in RATE_BUCKETS.iter().zip(&counts) {
+        rows.push((format!("({:.1}%, {:.1}%]", lo * 100.0, ub * 100.0), count));
+        lo = ub;
     }
-
-    /// Hosts with exactly zero measured reordering.
-    pub fn zeros(&self) -> u64 {
-        self.zero
-    }
-
-    /// NaN rates rejected by [`RateHistogram::push`] — never part of
-    /// the bucket rows.
-    pub fn nans(&self) -> u64 {
-        self.nan
-    }
-
-    /// `(label, count)` rows, zero bucket first.
-    pub fn rows(&self) -> Vec<(String, u64)> {
-        let mut rows = vec![("0".to_string(), self.zero)];
-        let mut lo = 0.0;
-        for (i, &ub) in RATE_BUCKETS.iter().enumerate() {
-            rows.push((
-                format!("({:.1}%, {:.1}%]", lo * 100.0, ub * 100.0),
-                self.counts[i],
-            ));
-            lo = ub;
-        }
-        rows
-    }
-
-    /// The compatibility view: derive the fixed-bucket histogram from a
-    /// [`QuantileSketch`]. Each sketch bucket's count lands in the rate
-    /// bucket containing its representative value, so a derived count
-    /// can differ from a directly-pushed one only for observations
-    /// within the sketch's ε of a bucket edge. The summary renders this
-    /// view; the sketch is the source of truth that survives shard
-    /// merges (fixed buckets cannot).
-    pub fn from_sketch(sketch: &QuantileSketch) -> RateHistogram {
-        // Negative rates cannot occur upstream, but [`RateHistogram::push`]
-        // files `rate <= 0` under the zero bucket — the view keeps that
-        // convention for any negative sketch mass.
-        let neg = sketch.count()
-            - sketch.zeros()
-            - sketch.positive_buckets().map(|(_, c)| c).sum::<u64>();
-        let mut h = RateHistogram {
-            zero: sketch.zeros() + neg,
-            counts: [0; RATE_BUCKETS.len()],
-            nan: sketch.nans(),
-        };
-        'bucket: for (rep, count) in sketch.positive_buckets() {
-            for (i, &ub) in RATE_BUCKETS.iter().enumerate() {
-                if rep <= ub {
-                    h.counts[i] += count;
-                    continue 'bucket;
-                }
-            }
-            h.counts[RATE_BUCKETS.len() - 1] += count;
-        }
-        h
-    }
+    rows
 }
 
 /// Per-breakdown-key accumulator. Every field is order-independent
@@ -187,7 +118,7 @@ impl GroupAgg {
 
     /// Serialize the exact group state (integer counts and fixed-point
     /// moments) for the campaign checkpoint format.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(self) -> String {
         format!(
             "{{\"hosts\":{},\"fwd\":{},\"rev\":{},\"fwd_rates\":{}}}",
             self.hosts,
@@ -195,11 +126,6 @@ impl GroupAgg {
             est_json(&self.rev),
             self.fwd_rates.to_json()
         )
-    }
-
-    /// Parse a [`GroupAgg::to_json`] document back bit-exactly.
-    pub fn from_json(text: &str) -> Result<GroupAgg, String> {
-        GroupAgg::from_value(&jsonx::parse(text)?)
     }
 
     fn from_value(v: &Value) -> Result<GroupAgg, String> {
@@ -263,7 +189,7 @@ impl FailureAgg {
     }
 
     /// Serialize the exact state for the campaign checkpoint format.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut s = format!(
             "{{\"hosts\":{},\"failed\":{},\"degraded\":{}",
             self.hosts, self.failed, self.degraded
@@ -283,11 +209,6 @@ impl FailureAgg {
         }
         s.push('}');
         s
-    }
-
-    /// Parse a [`FailureAgg::to_json`] document back bit-exactly.
-    pub fn from_json(text: &str) -> Result<FailureAgg, String> {
-        FailureAgg::from_value(&jsonx::parse(text)?)
     }
 
     fn from_value(v: &Value) -> Result<FailureAgg, String> {
@@ -346,7 +267,7 @@ pub struct CampaignSummary {
     pub baseline_pooled: ReorderEstimate,
     /// Mergeable quantile sketch over per-host forward rates — the
     /// source of truth for the Fig. 5 CDF points and the rendered rate
-    /// histogram (derived via [`RateHistogram::from_sketch`]).
+    /// histogram.
     pub fwd_sketch: QuantileSketch,
     /// Breakdown by measuring technique.
     pub by_technique: BTreeMap<&'static str, GroupAgg>,
@@ -478,7 +399,7 @@ impl CampaignSummary {
     /// that merges and renders bit-identically to the original. This is
     /// the `reorder.checkpoint/1` payload; the human table stays in
     /// [`CampaignSummary::render`].
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut s = String::with_capacity(1024);
         let _ = write!(
             s,
@@ -540,7 +461,8 @@ impl CampaignSummary {
     /// Parse a [`CampaignSummary::to_json`] document back into the
     /// exact state. Malformed documents are rejected field-by-field;
     /// nothing is defaulted.
-    pub fn from_json(text: &str) -> Result<CampaignSummary, String> {
+    #[cfg(test)]
+    pub(crate) fn from_json(text: &str) -> Result<CampaignSummary, String> {
         CampaignSummary::from_value(&jsonx::parse(text)?)
     }
 
@@ -660,16 +582,10 @@ impl CampaignSummary {
                 let _ = write!(line, "  {label} {:.4}%", v * 100.0);
             }
             let _ = writeln!(s, "{line}");
-            let hist = RateHistogram::from_sketch(&self.fwd_sketch);
+            let rows = fig5_rows(&self.fwd_sketch);
             let _ = writeln!(s, "fwd rate histogram (hosts)");
-            let max = hist
-                .rows()
-                .iter()
-                .map(|&(_, c)| c)
-                .max()
-                .unwrap_or(1)
-                .max(1);
-            for (label, count) in hist.rows() {
+            let max = rows.iter().map(|&(_, c)| c).max().unwrap_or(1).max(1);
+            for (label, count) in rows {
                 let bar = "#".repeat((count * 40 / max) as usize);
                 let _ = writeln!(s, "{label:>16} {count:>7}  {bar}");
             }
@@ -811,60 +727,64 @@ mod tests {
     use reorder_core::scenario::HostSpec;
     use reorder_tcpstack::HostPersonality;
 
+    fn sketch_of(rates: &[f64]) -> QuantileSketch {
+        let mut sketch = QuantileSketch::new();
+        for &r in rates {
+            sketch.push(r);
+        }
+        sketch
+    }
+
+    fn counts(rows: &[(String, u64)]) -> Vec<u64> {
+        rows.iter().map(|&(_, c)| c).collect()
+    }
+
     #[test]
     fn histogram_rejects_nan_instead_of_top_bucketing() {
         // Regression: `NaN <= 0.0` and every `NaN <= bound` are false,
         // so a NaN rate used to fall through the scan into the top
         // (25%, 100%] bucket — a phantom heavy-reordering host.
-        let mut h = RateHistogram::default();
-        h.push(f64::NAN);
-        assert_eq!(h.nans(), 1);
-        assert_eq!(h.zeros(), 0);
-        assert_eq!(h.total(), 1);
-        assert!(
-            h.rows().iter().all(|&(_, c)| c == 0),
-            "NaN must not land in any bucket row: {:?}",
-            h.rows()
-        );
+        let rows = fig5_rows(&sketch_of(&[f64::NAN]));
+        assert_eq!(counts(&rows), [0; 9], "NaN must not land in any row");
         // Real rates keep bucketing as before around the quarantine.
-        h.push(0.5);
-        assert_eq!(h.rows().last().unwrap().1, 1);
-        assert_eq!(h.total(), 2);
+        let rows = fig5_rows(&sketch_of(&[f64::NAN, 0.5]));
+        assert_eq!(counts(&rows), [0, 0, 0, 0, 0, 0, 0, 0, 1]);
     }
 
     #[test]
     fn histogram_buckets() {
-        let mut h = RateHistogram::default();
-        for r in [0.0, 0.0005, 0.004, 0.02, 0.3, 0.9, 0.0] {
-            h.push(r);
-        }
-        assert_eq!(h.total(), 7);
-        assert_eq!(h.zeros(), 2);
-        assert_eq!(h.nans(), 0);
-        let rows = h.rows();
-        assert_eq!(rows.len(), 1 + RATE_BUCKETS.len());
-        assert_eq!(rows[0].1, 2); // zero bucket
-        assert_eq!(rows[1].1, 1); // (0, 0.1%]
-        assert_eq!(rows[2].1, 1); // (0.1%, 0.5%]
-        assert_eq!(rows[4].1, 1); // (1%, 2.5%]
-        assert_eq!(rows.last().unwrap().1, 2); // (25%, 100%]
-        assert_eq!(rows.iter().map(|&(_, c)| c).sum::<u64>(), 7);
+        let rows = fig5_rows(&sketch_of(&[0.0, 0.0005, 0.004, 0.02, 0.3, 0.9, 0.0]));
+        let labels: Vec<&str> = rows.iter().map(|(l, _)| l.as_str()).collect();
+        assert_eq!(
+            labels,
+            [
+                "0",
+                "(0.0%, 0.1%]",
+                "(0.1%, 0.5%]",
+                "(0.5%, 1.0%]",
+                "(1.0%, 2.5%]",
+                "(2.5%, 5.0%]",
+                "(5.0%, 10.0%]",
+                "(10.0%, 25.0%]",
+                "(25.0%, 100.0%]",
+            ]
+        );
+        // Zero bucket 2, (0, 0.1%] 1, (0.1%, 0.5%] 1, (1%, 2.5%] 1,
+        // top bucket 2.
+        assert_eq!(counts(&rows), [2, 1, 1, 0, 1, 0, 0, 0, 2]);
     }
 
     #[test]
     fn histogram_from_sketch_matches_direct_pushes() {
-        // Away from bucket edges the derived view is exact; the rates
-        // below sit mid-bucket, far beyond the sketch's 0.39% ε.
+        // Away from bucket edges the sketch-derived rows equal bucketing
+        // the raw rates directly; the rates below sit mid-bucket, far
+        // beyond the sketch's 0.39% ε. The NaN is in no row.
         let rates = [0.0, 0.0005, 0.004, 0.02, 0.3, 0.9, 0.0, f64::NAN, 0.07];
-        let mut direct = RateHistogram::default();
-        let mut sketch = QuantileSketch::new();
-        for &r in &rates {
-            direct.push(r);
-            sketch.push(r);
-        }
-        let derived = RateHistogram::from_sketch(&sketch);
-        assert_eq!(derived, direct);
-        assert_eq!(derived.nans(), 1);
+        let rows = fig5_rows(&sketch_of(&rates));
+        assert_eq!(counts(&rows), [2, 1, 1, 0, 1, 0, 1, 0, 2]);
+        // Negative mass (never produced upstream) files under zero.
+        let rows = fig5_rows(&sketch_of(&[-0.2, 0.0]));
+        assert_eq!(counts(&rows), [2, 0, 0, 0, 0, 0, 0, 0, 0]);
     }
 
     fn reports(n: usize, seed: u64) -> Vec<HostReport> {

@@ -77,11 +77,11 @@ pub mod report;
 pub mod scheduler;
 pub mod state;
 
-pub use aggregate::{CampaignSummary, FailureAgg, RateHistogram, ShardAggregator};
+pub use aggregate::{CampaignSummary, FailureAgg, ShardAggregator};
 pub use engine::{run_campaign, run_campaign_with, shard_bounds, CampaignConfig, CampaignOutcome};
 pub use metrics::{CampaignTelemetry, METRICS_SCHEMA};
 pub use pipeline::{HostJob, HostOutcome, HostReport, TechniqueChoice};
 pub use population::PopulationModel;
 pub use reorder_core::telemetry::{TelemetryMode, WorkerTelemetry};
 pub use reorder_core::{Budget, HostErrorKind};
-pub use state::{run_shard, seal, unseal, ShardState, SHARD_SCHEMA};
+pub use state::{run_shard, seal, unseal, ShardState};

@@ -35,7 +35,8 @@ pub struct CampaignTelemetry {
 
 impl CampaignTelemetry {
     /// The `Off`-mode value: nothing recorded.
-    pub fn disabled() -> Self {
+    #[cfg(test)]
+    pub(crate) fn disabled() -> Self {
         CampaignTelemetry::default()
     }
 
@@ -80,7 +81,7 @@ impl CampaignTelemetry {
 /// hosts done, completion rate, ETA, and per-worker utilization
 /// (busy/elapsed, from the scheduler probe) when timing is on. Pure
 /// formatting — testable without a clock.
-pub fn progress_line(done: u64, total: u64, elapsed_s: f64, busy_ns: &[u64]) -> String {
+pub(crate) fn progress_line(done: u64, total: u64, elapsed_s: f64, busy_ns: &[u64]) -> String {
     let pct = if total > 0 {
         100.0 * done as f64 / total as f64
     } else {

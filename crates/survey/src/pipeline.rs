@@ -119,7 +119,7 @@ impl HostOutcome {
     /// failed and degraded hosts by their classified error kind (the
     /// severity split lives in the [`crate::aggregate::FailureAgg`]
     /// columns), complete hosts nowhere.
-    pub fn taxonomy(&self) -> Option<&'static str> {
+    pub(crate) fn taxonomy(&self) -> Option<&'static str> {
         match self {
             HostOutcome::Complete => None,
             HostOutcome::Degraded { kind } | HostOutcome::Failed { kind } => Some(kind.label()),
@@ -127,7 +127,8 @@ impl HostOutcome {
     }
 
     /// The classified error, when the run was not complete.
-    pub fn kind(&self) -> Option<HostErrorKind> {
+    #[cfg(test)]
+    pub(crate) fn kind(&self) -> Option<HostErrorKind> {
         match self {
             HostOutcome::Complete => None,
             HostOutcome::Degraded { kind } | HostOutcome::Failed { kind } => Some(*kind),
@@ -490,10 +491,19 @@ fn run_protocol(
 }
 
 /// Run the full pipeline against host `id` with a throwaway
-/// [`ScenarioPool`] — the convenience form of [`survey_host_pooled`]
-/// for tests and one-off callers.
-pub fn survey_host(id: u64, spec: &HostSpec, host_seed: u64, job: &HostJob) -> HostReport {
-    survey_host_pooled(id, spec, host_seed, job, &mut ScenarioPool::new())
+/// [`ScenarioPool`] and no telemetry — the convenience form of
+/// [`survey_host_traced`] for tests.
+#[cfg(test)]
+pub(crate) fn survey_host(id: u64, spec: &HostSpec, host_seed: u64, job: &HostJob) -> HostReport {
+    let mut pool = ScenarioPool::new();
+    survey_host_traced(
+        id,
+        spec,
+        host_seed,
+        job,
+        &mut pool,
+        &mut WorkerTelemetry::new(),
+    )
 }
 
 /// Run the full pipeline against host `id`. `host_seed` must already be
@@ -503,24 +513,15 @@ pub fn survey_host(id: u64, spec: &HostSpec, host_seed: u64, job: &HostJob) -> H
 /// only recycles allocations (campaign workers keep one each) and
 /// never changes a result, which the pooled-vs-fresh determinism
 /// tests assert byte for byte.
-pub fn survey_host_pooled(
-    id: u64,
-    spec: &HostSpec,
-    host_seed: u64,
-    job: &HostJob,
-    pool: &mut ScenarioPool,
-) -> HostReport {
-    survey_host_traced(id, spec, host_seed, job, pool, &mut WorkerTelemetry::new())
-}
-
-/// [`survey_host_pooled`] with a telemetry sink: phase span durations
-/// (`host`, `amenability`, `measure`, `baseline`, `gap_sweep`) and
-/// pipeline counters (`netsim.events`, `netsim.stage_passes`,
-/// `pool.hits`, `pool.misses`) are folded into `tel` according to
-/// [`HostJob::telemetry`]. With [`TelemetryMode::Off`] (the default)
-/// nothing is recorded and no clock is read — `tel` stays untouched —
-/// and in every mode the returned report is byte-identical to the
-/// untraced run (telemetry observes; it never participates).
+///
+/// Phase span durations (`host`, `amenability`, `measure`, `baseline`,
+/// `gap_sweep`) and pipeline counters (`netsim.events`,
+/// `netsim.stage_passes`, `pool.hits`, `pool.misses`) are folded into
+/// `tel` according to [`HostJob::telemetry`]. With
+/// [`TelemetryMode::Off`] (the default) nothing is recorded and no
+/// clock is read — `tel` stays untouched — and in every mode the
+/// returned report is byte-identical to the untraced run (telemetry
+/// observes; it never participates).
 pub fn survey_host_traced(
     id: u64,
     spec: &HostSpec,

@@ -87,7 +87,7 @@ pub struct RunProbe {
 impl RunProbe {
     /// A probe for up to `workers` workers. `timed` turns on per-job
     /// clock reads (busy/idle accounting and live utilization).
-    pub fn new(timed: bool, workers: usize) -> RunProbe {
+    pub(crate) fn new(timed: bool, workers: usize) -> RunProbe {
         RunProbe {
             timed,
             done: AtomicU64::new(0),
@@ -101,13 +101,13 @@ impl RunProbe {
     }
 
     /// Whether workers time their jobs.
-    pub fn timed(&self) -> bool {
+    pub(crate) fn timed(&self) -> bool {
         self.timed
     }
 
     /// Worker `w`'s published busy nanoseconds so far (0 when untimed
     /// or out of range).
-    pub fn busy_ns(&self, w: usize) -> u64 {
+    pub(crate) fn busy_ns(&self, w: usize) -> u64 {
         self.busy_ns
             .get(w)
             .map(|a| a.load(Ordering::Relaxed))
@@ -115,7 +115,7 @@ impl RunProbe {
     }
 
     /// Per-worker slots allocated.
-    pub fn slots(&self) -> usize {
+    pub(crate) fn slots(&self) -> usize {
         self.busy_ns.len()
     }
 
@@ -127,7 +127,7 @@ impl RunProbe {
 }
 
 /// Resolve a requested worker count: 0 means "all available cores".
-pub fn resolve_workers(requested: usize) -> usize {
+pub(crate) fn resolve_workers(requested: usize) -> usize {
     if requested > 0 {
         requested
     } else {

@@ -21,7 +21,7 @@ use std::io::{self, Write};
 
 /// Version tag of the shard-state document. Bump on any shape change;
 /// readers reject other versions before parsing further.
-pub const SHARD_SCHEMA: &str = "reorder.shard/1";
+pub(crate) const SHARD_SCHEMA: &str = "reorder.shard/1";
 
 /// Seal a JSON object document with a trailing integrity hash: the
 /// FNV-1a of every byte of `doc` is appended as a final `fnv1a64`

@@ -387,7 +387,7 @@ impl Conn {
     }
 
     /// The delayed-ACK timer fired (host verified the generation).
-    pub fn on_ack_timer(&mut self, out: &mut Vec<SegmentOut>) {
+    pub(crate) fn on_ack_timer(&mut self, out: &mut Vec<SegmentOut>) {
         if self.state == ConnState::Closed {
             return;
         }
@@ -495,16 +495,6 @@ impl Conn {
             tx.sent += n;
         }
     }
-
-    /// Whether the reassembly queue currently holds out-of-order data.
-    pub fn has_ooo(&self) -> bool {
-        !self.reasm.is_empty()
-    }
-
-    /// SACK-style block count (for the Bennett metric).
-    pub fn ooo_blocks(&self) -> usize {
-        self.reasm.block_count()
-    }
 }
 
 #[cfg(test)]
@@ -580,7 +570,7 @@ mod tests {
         assert_eq!(t, TimerReq::None);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].ack, SeqNum(1), "dup ACK points at the hole");
-        assert!(c.has_ooo());
+        assert!(!c.reasm.is_empty());
         // Retransmission behaves identically.
         out.clear();
         c.on_segment(&seg(2, 7001, TcpFlags::ACK, 65535), b"X", &mut out);

@@ -93,11 +93,6 @@ impl TcpHost {
         }
     }
 
-    /// The configured address.
-    pub fn addr(&self) -> Ipv4Addr4 {
-        self.cfg.addr
-    }
-
     fn conn_cfg(&self) -> ConnCfg {
         ConnCfg {
             delayed_ack: self.cfg.personality.delayed_ack,

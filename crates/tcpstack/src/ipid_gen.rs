@@ -6,7 +6,7 @@ use rand::Rng;
 use reorder_wire::{IpId, Ipv4Addr4};
 
 /// Produces the IPID for each packet a host transmits.
-pub struct IpidGenerator {
+pub(crate) struct IpidGenerator {
     scheme: IpidScheme,
     global: u16,
     // Linear: a simulated host talks to a handful of destinations,

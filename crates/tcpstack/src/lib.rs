@@ -32,6 +32,5 @@ pub mod reasm;
 
 pub use conn::{Conn, ConnCfg, ConnState, SegmentOut, TimerReq};
 pub use host::{TcpHost, TcpHostConfig};
-pub use ipid_gen::IpidGenerator;
 pub use personality::{DelayedAck, HostPersonality, IpidScheme, SecondSynBehavior};
 pub use reasm::ReasmQueue;

@@ -78,12 +78,6 @@ impl ReasmQueue {
         self.ranges.is_empty()
     }
 
-    /// Number of disjoint queued ranges (SACK-block count, used by the
-    /// Bennett-style metric).
-    pub fn block_count(&self) -> usize {
-        self.ranges.len()
-    }
-
     /// The queued ranges, for SACK option generation (most recent data
     /// first is not modeled; wire order is ascending).
     pub fn blocks(&self) -> &[(SeqNum, u32)] {
@@ -116,14 +110,14 @@ mod tests {
     #[test]
     fn disjoint_ranges_stay_separate() {
         let rq = q(&[(10, 5), (20, 5)]);
-        assert_eq!(rq.block_count(), 2);
+        assert_eq!(rq.blocks().len(), 2);
         assert_eq!(rq.blocks(), &[(SeqNum(10), 5), (SeqNum(20), 5)]);
     }
 
     #[test]
     fn touching_ranges_merge() {
         let rq = q(&[(10, 5), (15, 5)]);
-        assert_eq!(rq.block_count(), 1);
+        assert_eq!(rq.blocks().len(), 1);
         assert_eq!(rq.blocks(), &[(SeqNum(10), 10)]);
     }
 
@@ -145,7 +139,7 @@ mod tests {
         // ranges [5,10) and [10,15) merged on insert; edge 5 reaches both.
         let edge = rq.advance(SeqNum(5));
         assert_eq!(edge, SeqNum(15));
-        assert_eq!(rq.block_count(), 1); // [20,25) remains
+        assert_eq!(rq.blocks().len(), 1); // [20,25) remains
     }
 
     #[test]

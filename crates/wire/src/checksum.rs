@@ -26,13 +26,13 @@ impl Accumulator {
     }
 
     /// Add a big-endian 16-bit word.
-    pub fn add_u16(&mut self, word: u16) {
+    pub(crate) fn add_u16(&mut self, word: u16) {
         debug_assert!(self.pending.is_none(), "add_u16 after odd-length add_bytes");
         self.sum += u32::from(word);
     }
 
     /// Add a big-endian 32-bit word (as two 16-bit words).
-    pub fn add_u32(&mut self, word: u32) {
+    pub(crate) fn add_u32(&mut self, word: u32) {
         self.add_u16((word >> 16) as u16);
         self.add_u16(word as u16);
     }
@@ -81,7 +81,8 @@ pub fn internet(bytes: &[u8]) -> u16 {
 
 /// Verify a slice whose checksum field is already in place: a correct
 /// packet sums (including the embedded checksum) to zero.
-pub fn verify(bytes: &[u8]) -> bool {
+#[cfg(test)]
+pub(crate) fn verify(bytes: &[u8]) -> bool {
     internet(bytes) == 0
 }
 

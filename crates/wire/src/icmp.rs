@@ -6,7 +6,7 @@ use crate::error::WireError;
 use bytes::{BufMut, BytesMut};
 
 /// Minimum ICMP header length (echo messages).
-pub const MIN_HEADER_LEN: usize = 8;
+pub(crate) const MIN_HEADER_LEN: usize = 8;
 
 /// ICMP message types this toolkit understands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -23,7 +23,7 @@ pub enum IcmpType {
 
 impl IcmpType {
     /// Wire value.
-    pub fn to_u8(self) -> u8 {
+    pub(crate) fn to_u8(self) -> u8 {
         match self {
             IcmpType::EchoReply => 0,
             IcmpType::DestUnreachable => 3,
@@ -33,7 +33,7 @@ impl IcmpType {
     }
 
     /// From wire value.
-    pub fn from_u8(v: u8) -> Self {
+    pub(crate) fn from_u8(v: u8) -> Self {
         match v {
             0 => IcmpType::EchoReply,
             3 => IcmpType::DestUnreachable,
@@ -61,7 +61,7 @@ pub struct IcmpHeader {
 
 impl IcmpHeader {
     /// Build an echo request with the given identifier and sequence.
-    pub fn echo_request(ident: u16, seq: u16) -> Self {
+    pub(crate) fn echo_request(ident: u16, seq: u16) -> Self {
         IcmpHeader {
             icmp_type: IcmpType::EchoRequest,
             code: 0,

@@ -17,11 +17,6 @@ use std::ops::Add;
 pub struct IpId(pub u16);
 
 impl IpId {
-    /// Construct from a raw wire value.
-    pub const fn new(v: u16) -> Self {
-        IpId(v)
-    }
-
     /// Raw wire value.
     pub const fn raw(self) -> u16 {
         self.0

@@ -11,7 +11,7 @@ use bytes::{BufMut, BytesMut};
 use std::fmt;
 
 /// Minimum (and, without options, actual) IPv4 header length in bytes.
-pub const MIN_HEADER_LEN: usize = 20;
+pub(crate) const MIN_HEADER_LEN: usize = 20;
 
 /// An IPv4 address. A thin wrapper (rather than `std::net::Ipv4Addr`) so
 /// the simulator can treat addresses as plain keys and construct them in
@@ -26,16 +26,11 @@ impl Ipv4Addr4 {
     }
 
     /// The unspecified address 0.0.0.0.
-    pub const UNSPECIFIED: Ipv4Addr4 = Ipv4Addr4([0; 4]);
+    pub(crate) const UNSPECIFIED: Ipv4Addr4 = Ipv4Addr4([0; 4]);
 
     /// Big-endian u32 form (useful for hashing and checksums).
     pub const fn to_u32(self) -> u32 {
         u32::from_be_bytes(self.0)
-    }
-
-    /// Build from a big-endian u32.
-    pub const fn from_u32(v: u32) -> Self {
-        Ipv4Addr4(v.to_be_bytes())
     }
 }
 
@@ -58,7 +53,7 @@ pub enum Protocol {
 
 impl Protocol {
     /// Wire value.
-    pub fn to_u8(self) -> u8 {
+    pub(crate) fn to_u8(self) -> u8 {
         match self {
             Protocol::Icmp => 1,
             Protocol::Tcp => 6,
@@ -67,7 +62,7 @@ impl Protocol {
     }
 
     /// From wire value.
-    pub fn from_u8(v: u8) -> Self {
+    pub(crate) fn from_u8(v: u8) -> Self {
         match v {
             1 => Protocol::Icmp,
             6 => Protocol::Tcp,
@@ -120,7 +115,7 @@ impl Default for Ipv4Header {
 
 impl Ipv4Header {
     /// Header length in bytes (20 + options).
-    pub fn header_len(&self) -> usize {
+    pub(crate) fn header_len(&self) -> usize {
         MIN_HEADER_LEN + self.options.len()
     }
 
@@ -354,6 +349,6 @@ mod tests {
     fn addr_display_and_u32() {
         let a = Ipv4Addr4::new(1, 2, 3, 4);
         assert_eq!(a.to_string(), "1.2.3.4");
-        assert_eq!(Ipv4Addr4::from_u32(a.to_u32()), a);
+        assert_eq!(a.to_u32(), 0x0102_0304);
     }
 }

@@ -155,7 +155,7 @@ impl Packet {
     /// Encode into (the end of) `out`, reserving exactly the wire
     /// length up front. Callers on a hot path reuse one cleared buffer
     /// across packets instead of allocating per encode.
-    pub fn encode_into(&self, out: &mut BytesMut) {
+    pub(crate) fn encode_into(&self, out: &mut BytesMut) {
         out.reserve(self.wire_len());
         // Every sub-encoder appends relative to the buffer's current
         // end, so header and payload share the single reservation.
@@ -261,12 +261,6 @@ impl PacketBuilder {
     /// Set the IP identification field.
     pub fn ipid(mut self, id: impl Into<IpId>) -> Self {
         self.ip.ident = id.into();
-        self
-    }
-
-    /// Set the IP TTL.
-    pub fn ttl(mut self, ttl: u8) -> Self {
-        self.ip.ttl = ttl;
         self
     }
 

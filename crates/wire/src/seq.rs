@@ -18,11 +18,6 @@ use std::ops::{Add, Sub};
 pub struct SeqNum(pub u32);
 
 impl SeqNum {
-    /// Construct from a raw wire value.
-    pub const fn new(v: u32) -> Self {
-        SeqNum(v)
-    }
-
     /// Raw wire value.
     pub const fn raw(self) -> u32 {
         self.0

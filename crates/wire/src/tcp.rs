@@ -12,7 +12,7 @@ use bytes::{BufMut, BytesMut};
 use std::fmt;
 
 /// Minimum TCP header length (no options).
-pub const MIN_HEADER_LEN: usize = 20;
+pub(crate) const MIN_HEADER_LEN: usize = 20;
 
 /// TCP flag bits.
 ///
@@ -208,7 +208,8 @@ impl TcpHeader {
     }
 
     /// Find the SACK blocks, if present.
-    pub fn sack_blocks(&self) -> Option<&[(SeqNum, SeqNum)]> {
+    #[cfg(test)]
+    pub(crate) fn sack_blocks(&self) -> Option<&[(SeqNum, SeqNum)]> {
         self.options.iter().find_map(|o| match o {
             TcpOption::Sack(blocks) => Some(blocks.as_slice()),
             _ => None,

@@ -1,12 +1,13 @@
 //! # reorder-bench
 //!
 //! Experiment harness regenerating every table and figure of *Measuring
-//! Packet Reordering* (Bellardo & Savage, IMC 2002), plus Criterion
-//! perf benches for the hot paths.
+//! Packet Reordering* (Bellardo & Savage, IMC 2002), plus the campaign
+//! perf gates (`exp_scale`) and Criterion benches for whole measurements
+//! and the aggregation and telemetry primitives.
 //!
-//! Each `exp_*` binary prints the rows/series the paper reports; see
-//! `EXPERIMENTS.md` at the repository root for the paper-vs-measured
-//! comparison. Binaries honor the `REORDER_SCALE` environment variable
+//! Each `exp_*` binary prints the rows/series the paper reports next to
+//! the measured ones; see `README.md` at the repository root for how to
+//! run them. Binaries honor the `REORDER_SCALE` environment variable
 //! (`full` = paper-scale, `quick` = CI-scale; default `std`).
 
 #![forbid(unsafe_code)]

@@ -21,8 +21,8 @@ const FORMAT: &str = "2";
 
 /// The output-affecting configuration of one campaign, plus its shard
 /// plan. Field set mirrors [`CampaignConfig`] minus the runtime knobs
-/// (`workers`, `pool`, `telemetry`, `progress`) that
-/// cannot change campaign bytes.
+/// (`workers`, `telemetry`, `progress`) that cannot change campaign
+/// bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CampaignSpec {
     /// Hosts to survey across all shards.

@@ -75,15 +75,24 @@ impl Args {
         }
     }
 
-    /// Verify no unknown options/switches were supplied.
-    pub fn expect_only(&self, allowed: &[&str]) -> Result<(), ArgError> {
+    /// Verify that every flag is one of the command's `options`
+    /// (`--key value`) or `switches` (`--flag`), in its own form: an
+    /// option given without a value or a switch given one is an error
+    /// naming the flag, never silently read as the other kind.
+    pub fn expect_only(&self, options: &[&str], switches: &[&str]) -> Result<(), ArgError> {
         for k in self.options.keys() {
-            if !allowed.contains(&k.as_str()) {
+            if switches.contains(&k.as_str()) {
+                return Err(ArgError(format!("--{k} takes no value")));
+            }
+            if !options.contains(&k.as_str()) {
                 return Err(ArgError(format!("unknown option --{k}")));
             }
         }
         for k in &self.switches {
-            if !allowed.contains(&k.as_str()) {
+            if options.contains(&k.as_str()) {
+                return Err(ArgError(format!("--{k} needs a value")));
+            }
+            if !switches.contains(&k.as_str()) {
                 return Err(ArgError(format!("unknown switch --{k}")));
             }
         }
@@ -137,8 +146,25 @@ mod tests {
     #[test]
     fn expect_only_flags_unknowns() {
         let a = parse("m --good 1 --weird 2").unwrap();
-        assert!(a.expect_only(&["good"]).is_err());
-        assert!(a.expect_only(&["good", "weird"]).is_ok());
+        assert!(a.expect_only(&["good"], &[]).is_err());
+        assert!(a.expect_only(&["good", "weird"], &[]).is_ok());
+        let a = parse("m --good 1 --on").unwrap();
+        assert_eq!(
+            a.expect_only(&["good"], &[]).unwrap_err().0,
+            "unknown switch --on"
+        );
+        assert!(a.expect_only(&["good"], &["on"]).is_ok());
+        // Each kind given in the other's form names the flag.
+        let a = parse("m --on yes").unwrap();
+        assert_eq!(
+            a.expect_only(&[], &["on"]).unwrap_err().0,
+            "--on takes no value"
+        );
+        let a = parse("m --n").unwrap();
+        assert_eq!(
+            a.expect_only(&["n"], &[]).unwrap_err().0,
+            "--n needs a value"
+        );
     }
 
     #[test]

@@ -59,16 +59,19 @@ fn fmt_estimate(label: &str, e: ReorderEstimate) -> String {
 
 /// `reorder measure`.
 pub fn measure(args: &Args) -> Result<(), ArgError> {
-    args.expect_only(&[
-        "technique",
-        "fwd",
-        "rev",
-        "samples",
-        "gap-us",
-        "personality",
-        "lb",
-        "seed",
-    ])?;
+    args.expect_only(
+        &[
+            "technique",
+            "fwd",
+            "rev",
+            "samples",
+            "gap-us",
+            "personality",
+            "lb",
+            "seed",
+        ],
+        &[],
+    )?;
     let kind = measure_technique(args.get("technique").unwrap_or("single"))?;
     let fwd: f64 = args.get_or("fwd", 0.10)?;
     let rev: f64 = args.get_or("rev", 0.05)?;
@@ -118,11 +121,6 @@ pub fn measure(args: &Args) -> Result<(), ArgError> {
 /// forms rather than being silently coerced.
 fn parse_workers(args: &Args) -> Result<usize, ArgError> {
     match args.get("workers") {
-        // A bare `--workers` parses as a switch; don't let it silently
-        // mean auto.
-        None if args.switch("workers") => Err(ArgError(
-            "--workers needs a value (accepted: auto | positive thread count)".into(),
-        )),
         None | Some("auto") => Ok(0), // engine convention: 0 = all cores
         Some(v) => match v.parse::<usize>() {
             Ok(n) if n >= 1 => Ok(n),
@@ -138,15 +136,17 @@ fn parse_workers(args: &Args) -> Result<usize, ArgError> {
 /// `--workers` threads; results print in gap order regardless of
 /// completion order, making the output identical to a serial sweep.
 pub fn profile(args: &Args) -> Result<(), ArgError> {
-    args.expect_only(&[
-        "mechanism",
-        "samples",
-        "max-us",
-        "step-us",
-        "seed",
-        "workers",
-        "csv",
-    ])?;
+    args.expect_only(
+        &[
+            "mechanism",
+            "samples",
+            "max-us",
+            "step-us",
+            "seed",
+            "workers",
+        ],
+        &["csv"],
+    )?;
     let mechanism = args.get("mechanism").unwrap_or("striping").to_string();
     if !["striping", "multipath", "arq"].contains(&mechanism.as_str()) {
         return Err(ArgError(format!("unknown mechanism `{mechanism}`")));
@@ -322,34 +322,46 @@ fn write_metrics(target: &str, doc: String) -> Result<(), ArgError> {
     }
 }
 
+/// The plan options `survey` and `campaign` share: every value flag
+/// that changes which bytes a campaign produces. `campaign --resume`
+/// rejects each of them, since the checkpoint holds the plan.
+const PLAN_OPTIONS: [&str; 10] = [
+    "hosts",
+    "seed",
+    "samples",
+    "rounds",
+    "technique",
+    "gaps-us",
+    "chaos",
+    "host-deadline-ms",
+    "host-retries",
+    "host-backoff-ms",
+];
+
+/// The plan switches `survey` and `campaign` share (see
+/// [`PLAN_OPTIONS`]).
+const PLAN_SWITCHES: [&str; 3] = ["no-baseline", "no-reuse", "amenability-only"];
+
 /// `reorder survey` — the sharded campaign engine (`reorder-survey`)
 /// run over a generated host population. Output on stdout is
 /// byte-identical across reruns and worker counts for a fixed seed;
 /// timing goes to stderr.
 pub fn survey(args: &Args) -> Result<(), ArgError> {
-    args.expect_only(&[
-        "hosts",
-        "workers",
-        "rounds",
-        "samples",
-        "seed",
-        "technique",
-        "jsonl",
-        "gaps-us",
-        "no-baseline",
-        "no-reuse",
-        "amenability-only",
-        "per-host",
-        "shard",
-        "shard-state",
-        "chaos",
-        "host-deadline-ms",
-        "host-retries",
-        "host-backoff-ms",
-        "telemetry",
-        "metrics",
-        "progress",
-    ])?;
+    args.expect_only(
+        &[
+            PLAN_OPTIONS.as_slice(),
+            &[
+                "workers",
+                "jsonl",
+                "shard",
+                "shard-state",
+                "telemetry",
+                "metrics",
+            ],
+        ]
+        .concat(),
+        &[PLAN_SWITCHES.as_slice(), &["per-host", "progress"]].concat(),
+    )?;
     let metrics = args.get("metrics");
     let telemetry = parse_telemetry(args)?;
     let cfg = CampaignConfig {
@@ -549,10 +561,6 @@ fn parse_fraction(flag: &str, raw: &str) -> Result<f64, ArgError> {
 /// population generator never touches its chaos stream.
 fn parse_chaos(args: &Args) -> Result<u32, ArgError> {
     match args.get("chaos") {
-        None if args.switch("chaos") => Err(ArgError(
-            "--chaos needs a value (accepted: a fraction like 0.2, or a percentage like 20%)"
-                .into(),
-        )),
         None => Ok(0),
         Some(raw) => Ok((parse_fraction("chaos", raw)? * 1e6).round() as u32),
     }
@@ -586,11 +594,6 @@ fn parse_budget(args: &Args) -> Result<(u64, u32, u64), ArgError> {
 /// finalizes every output, then exits nonzero.
 fn parse_max_host_failures(args: &Args) -> Result<Option<f64>, ArgError> {
     match args.get("max-host-failures") {
-        None if args.switch("max-host-failures") => Err(ArgError(
-            "--max-host-failures needs a value (accepted: a fraction like 0.05, \
-             or a percentage like 5%)"
-                .into(),
-        )),
         None => Ok(None),
         Some(raw) => parse_fraction("max-host-failures", raw).map(Some),
     }
@@ -605,43 +608,32 @@ fn parse_max_host_failures(args: &Args) -> Result<Option<f64>, ArgError> {
 /// `--resume DIR` continues losslessly — the merged summary and
 /// concatenated JSONL are byte-identical to an uninterrupted run.
 pub fn campaign(args: &Args) -> Result<(), ArgError> {
-    args.expect_only(&[
-        "dir",
-        "resume",
-        "hosts",
-        "seed",
-        "samples",
-        "rounds",
-        "technique",
-        "gaps-us",
-        "no-baseline",
-        "no-reuse",
-        "amenability-only",
-        "chaos",
-        "host-deadline-ms",
-        "host-retries",
-        "host-backoff-ms",
-        "shards",
-        "jsonl",
-        "workers",
-        "inflight",
-        "retries",
-        "backoff-ms",
-        "max-host-failures",
-        "in-process",
-        "fail-after-shards",
-        "telemetry",
-        "metrics",
-        "progress",
-    ])?;
+    args.expect_only(
+        &[
+            PLAN_OPTIONS.as_slice(),
+            &[
+                "dir",
+                "resume",
+                "shards",
+                "workers",
+                "inflight",
+                "retries",
+                "backoff-ms",
+                "max-host-failures",
+                "fail-after-shards",
+                "telemetry",
+                "metrics",
+            ],
+        ]
+        .concat(),
+        &[
+            PLAN_SWITCHES.as_slice(),
+            &["jsonl", "in-process", "progress"],
+        ]
+        .concat(),
+    )?;
     let metrics = args.get("metrics");
     let telemetry = parse_telemetry(args)?;
-    if args.get("jsonl").is_some() {
-        return Err(ArgError(
-            "--jsonl takes no value here: the campaign report lands in DIR/campaign.jsonl"
-                .to_string(),
-        ));
-    }
 
     let resuming = args.get("resume").is_some();
     let dir: PathBuf = match (args.get("resume"), args.get("dir")) {
@@ -660,31 +652,16 @@ pub fn campaign(args: &Args) -> Result<(), ArgError> {
     if resuming {
         // The checkpoint is the plan; silently accepting plan flags
         // here would invite a divergent resume.
-        for flag in [
-            "hosts",
-            "seed",
-            "samples",
-            "rounds",
-            "technique",
-            "gaps-us",
-            "chaos",
-            "host-deadline-ms",
-            "host-retries",
-            "host-backoff-ms",
-            "shards",
-        ] {
-            if args.get(flag).is_some() {
-                return Err(ArgError(format!(
-                    "--resume restores the checkpointed plan; drop --{flag}"
-                )));
-            }
-        }
-        for switch in ["no-baseline", "no-reuse", "amenability-only", "jsonl"] {
-            if args.switch(switch) {
-                return Err(ArgError(format!(
-                    "--resume restores the checkpointed plan; drop --{switch}"
-                )));
-            }
+        let options = PLAN_OPTIONS.iter().chain(&["shards"]);
+        let switches = PLAN_SWITCHES.iter().chain(&["jsonl"]);
+        if let Some(flag) = options
+            .filter(|f| args.get(f).is_some())
+            .chain(switches.filter(|f| args.switch(f)))
+            .next()
+        {
+            return Err(ArgError(format!(
+                "--resume restores the checkpointed plan; drop --{flag}"
+            )));
         }
     }
     let (deadline_ms, host_retries, host_backoff_ms) = parse_budget(args)?;
@@ -845,7 +822,7 @@ pub fn campaign(args: &Args) -> Result<(), ArgError> {
 
 /// `reorder validate`.
 pub fn validate(args: &Args) -> Result<(), ArgError> {
-    args.expect_only(&["fwd", "rev", "samples", "seed"])?;
+    args.expect_only(&["fwd", "rev", "samples", "seed"], &[])?;
     let fwd: f64 = args.get_or("fwd", 0.10)?;
     let rev: f64 = args.get_or("rev", 0.05)?;
     let samples: usize = args.get_or("samples", 100)?;
@@ -886,7 +863,7 @@ pub fn validate(args: &Args) -> Result<(), ArgError> {
 
 /// `reorder pcap`.
 pub fn pcap(args: &Args) -> Result<(), ArgError> {
-    args.expect_only(&["out", "fwd", "rev", "samples", "seed"])?;
+    args.expect_only(&["out", "fwd", "rev", "samples", "seed"], &[])?;
     let out = args
         .get("out")
         .ok_or_else(|| ArgError("--out FILE is required".into()))?
@@ -986,7 +963,7 @@ mod tests {
 
     #[test]
     fn workers_rejects_zero_and_malformed_values() {
-        for bad in ["0", "-2", "2.5", "many", ""] {
+        for bad in ["0", "-2", "2.5", "many"] {
             let e = parse_workers(&parse(&format!("survey --workers {bad}")))
                 .expect_err(&format!("--workers {bad} must be rejected"));
             assert!(
@@ -1222,8 +1199,6 @@ mod tests {
         assert!(e.0.contains("--shards"), "{e}");
         let e = campaign(&parse("campaign --dir a --fail-after-shards 0")).unwrap_err();
         assert!(e.0.contains("accepted: positive shard count"), "{e}");
-        let e = campaign(&parse("campaign --dir a --jsonl out.jsonl")).unwrap_err();
-        assert!(e.0.contains("campaign.jsonl"), "{e}");
     }
 
     #[test]
@@ -1244,8 +1219,6 @@ mod tests {
                 .expect_err(&format!("`{bad}` must be rejected"));
             assert!(e.0.contains("fraction like 0.2"), "{e}");
         }
-        // A bare `--chaos` parses as a switch; don't let it mean zero.
-        assert!(parse_chaos(&parse("survey --chaos")).is_err());
     }
 
     #[test]
@@ -1324,18 +1297,19 @@ mod tests {
     }
 
     #[test]
-    fn campaign_resume_rejects_chaos_and_budget_plan_flags() {
-        for flag in [
-            "--chaos 0.2",
-            "--host-deadline-ms 1000",
-            "--host-retries 1",
-            "--host-backoff-ms 10",
-        ] {
+    fn campaign_resume_rejects_every_plan_flag() {
+        let options = PLAN_OPTIONS.iter().chain(&["shards"]);
+        let switches = PLAN_SWITCHES.iter().chain(&["jsonl"]);
+        let given = options
+            .map(|f| format!("--{f} 1"))
+            .chain(switches.map(|f| format!("--{f}")));
+        for flag in given {
             let e = campaign(&parse(&format!("campaign --resume a {flag}"))).unwrap_err();
             let name = flag.split_whitespace().next().unwrap();
-            assert!(
-                e.0.contains(&format!("drop {name}")),
-                "resume must reject the plan flag {name}: {e}"
+            assert_eq!(
+                e.0,
+                format!("--resume restores the checkpointed plan; drop {name}"),
+                "resume must reject the plan flag {name}"
             );
         }
         // Runtime knobs stay legal on resume; this one fails later, on

@@ -310,6 +310,55 @@ fn shard_rejections_exit_nonzero_with_accepted_form() {
     }
 }
 
+/// Every value option of `survey` and `campaign` given without a
+/// value, and every switch given one, exits nonzero with an error that
+/// names the flag: neither is silently read as the other kind.
+#[test]
+fn misused_flags_exit_nonzero_naming_the_flag() {
+    // The plan flags both commands share, then each command's own.
+    let plan_options = "hosts seed samples rounds technique gaps-us chaos \
+                        host-deadline-ms host-retries host-backoff-ms";
+    let plan_switches = "no-baseline no-reuse amenability-only";
+    for (command, options, switches) in [
+        (
+            "survey",
+            "workers jsonl shard shard-state telemetry metrics",
+            "per-host progress",
+        ),
+        (
+            "campaign",
+            "dir resume shards workers inflight retries backoff-ms \
+             max-host-failures fail-after-shards telemetry metrics",
+            "jsonl in-process progress",
+        ),
+    ] {
+        for flag in plan_options
+            .split_whitespace()
+            .chain(options.split_whitespace())
+        {
+            let flag = format!("--{flag}");
+            let (_, stderr, ok) = reorder(&[command, &flag]);
+            assert!(!ok, "`{command} {flag}` without a value must exit nonzero");
+            assert!(
+                stderr.contains(&format!("{flag} needs a value")),
+                "`{command} {flag}`: the error must name the flag: {stderr}"
+            );
+        }
+        for flag in plan_switches
+            .split_whitespace()
+            .chain(switches.split_whitespace())
+        {
+            let flag = format!("--{flag}");
+            let (_, stderr, ok) = reorder(&[command, &flag, "yes"]);
+            assert!(!ok, "`{command} {flag} yes` must exit nonzero");
+            assert!(
+                stderr.contains(&format!("{flag} takes no value")),
+                "`{command} {flag} yes`: the error must name the flag: {stderr}"
+            );
+        }
+    }
+}
+
 #[test]
 fn help_and_errors() {
     let (stdout, _, ok) = reorder(&["help"]);

@@ -567,8 +567,9 @@ impl ScenarioPool {
     }
 
     /// A pool that never recycles: every checkout constructs a fresh
-    /// [`Simulator`]. The ablation arm of the pooled-vs-fresh
-    /// determinism tests and of `exp_scale`'s pooling ablation.
+    /// [`Simulator`]. Campaigns always recycle; this is the
+    /// fresh-construction reference that the pooled-vs-fresh
+    /// determinism tests compare them against.
     pub fn disabled() -> Self {
         ScenarioPool {
             enabled: false,

@@ -36,8 +36,8 @@
 //! is a different RNG stream from the replay's, so the two models never
 //! produce the same bytes. Campaigns run the stationary draw only; the
 //! replay stays selectable through [`CrossTrafficModel`] as the exact
-//! reference the equivalence tests, the pipe properties and the
-//! primitives bench compare against.
+//! reference the equivalence tests and the pipe properties compare
+//! against.
 
 use super::striping::CrossTraffic;
 use rand::rngs::SmallRng;
@@ -71,8 +71,9 @@ pub enum CrossTrafficModel {
 }
 
 impl CrossTrafficModel {
-    /// Short label for reports and bench rows.
-    pub fn label(&self) -> &'static str {
+    /// Short label for test failure messages.
+    #[cfg(test)]
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             CrossTrafficModel::Replay => "replay",
             CrossTrafficModel::Stationary => "stationary",

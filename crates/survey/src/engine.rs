@@ -55,10 +55,6 @@ pub struct CampaignConfig {
     /// [`crate::pipeline`]. On by default; off reproduces the PR 2
     /// per-phase protocol.
     pub reuse: bool,
-    /// Recycle each worker's simulator allocations across hosts via a
-    /// [`ScenarioPool`]. On by default; off is `exp_scale`'s ablation
-    /// arm (byte-identical output, fresh construction per host).
-    pub pool: bool,
     /// Inert compatibility field (see [`SimVersion`]): never read.
     /// Campaigns have one format; striping hosts draw their
     /// cross-traffic backlog from the stationary M/G/1 distribution.
@@ -118,7 +114,6 @@ impl Default for CampaignConfig {
             amenability_only: false,
             gaps_us: Vec::new(),
             reuse: true,
-            pool: true,
             sim_version: SimVersion,
             telemetry: TelemetryMode::Off,
             progress: false,
@@ -137,8 +132,7 @@ pub struct CampaignOutcome {
     /// Scheduler counters (workers used, cross-shard steals).
     pub stats: PoolStats,
     /// Total simulator events dispatched across every host — with wall
-    /// time this gives the events/sec figure `exp_scale` records in
-    /// `BENCH_campaign.json`.
+    /// time this gives a campaign's events/sec.
     pub events: u64,
     /// Campaign telemetry: per-worker counters and span stats,
     /// exactly mergeable ([`CampaignTelemetry::merged`]). Empty when
@@ -218,12 +212,10 @@ where
     // One simulator pool per worker: recycled allocations, never
     // shared results (simulations are !Send anyway).
     let mk_worker = |_w: usize| {
-        let pool = if cfg.pool {
-            ScenarioPool::new()
-        } else {
-            ScenarioPool::disabled()
-        };
-        (pool, (ShardAggregator::default(), WorkerTelemetry::new()))
+        (
+            ScenarioPool::new(),
+            (ShardAggregator::default(), WorkerTelemetry::new()),
+        )
     };
     // The per-host pipeline: a pure function of (config, master seed,
     // absolute id) — never of the worker that runs it. Telemetry

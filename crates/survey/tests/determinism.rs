@@ -2,8 +2,13 @@
 //! pure function of its config — the worker count changes wall-clock
 //! time, never a byte of the report.
 
+use reorder_core::scenario::ScenarioPool;
+use reorder_netsim::rng::derive_seed;
+use reorder_survey::pipeline::survey_host_traced;
+use reorder_survey::report::jsonl_line;
 use reorder_survey::{
-    run_campaign, CampaignConfig, CampaignOutcome, TechniqueChoice, TelemetryMode,
+    run_campaign, shard_bounds, CampaignConfig, CampaignOutcome, HostJob, ShardAggregator,
+    TechniqueChoice, TelemetryMode, WorkerTelemetry,
 };
 
 fn campaign_jsonl(hosts: usize, workers: usize, seed: u64) -> (Vec<u8>, String) {
@@ -20,6 +25,56 @@ fn campaign_jsonl(hosts: usize, workers: usize, seed: u64) -> (Vec<u8>, String) 
     let out = run_campaign(&cfg, Some(&mut buf)).expect("in-memory sink");
     assert_eq!(buf.iter().filter(|&&b| b == b'\n').count(), hosts);
     (buf, out.summary.render())
+}
+
+/// A campaign's JSONL bytes and rendered summary.
+fn campaign_output(cfg: &CampaignConfig) -> (Vec<u8>, String) {
+    let mut buf = Vec::new();
+    let out = run_campaign(cfg, Some(&mut buf)).expect("in-memory sink");
+    (buf, out.summary.render())
+}
+
+/// The fresh-construction reference for `cfg`: its hosts surveyed one
+/// at a time, in id order, through the public per-host pipeline on a
+/// [`ScenarioPool::disabled`] (a new simulator for every scenario),
+/// with the engine's per-host seed derivation. Campaign workers always
+/// recycle their simulators, so this is what a campaign's JSONL bytes
+/// and summary must equal.
+fn fresh_reference(cfg: &CampaignConfig) -> (Vec<u8>, String) {
+    let job = HostJob {
+        samples: cfg.samples.max(1),
+        rounds: cfg.rounds.max(1),
+        technique: cfg.technique,
+        baseline: cfg.baseline,
+        amenability_only: cfg.amenability_only,
+        gaps_us: cfg.gaps_us.clone(),
+        reuse: cfg.reuse,
+        telemetry: cfg.telemetry,
+        budget: cfg.budget,
+    };
+    let (lo, hi) = match cfg.shard {
+        Some((k, n)) => shard_bounds(cfg.hosts, k, n),
+        None => (0, cfg.hosts),
+    };
+    let mut pool = ScenarioPool::disabled();
+    let mut jsonl = Vec::new();
+    let mut agg = ShardAggregator::default();
+    for id in lo as u64..hi as u64 {
+        let spec = cfg.model.host(id, cfg.seed);
+        let host_seed = derive_seed(cfg.seed, &format!("survey.run.{id}"));
+        let report = survey_host_traced(
+            id,
+            &spec,
+            host_seed,
+            &job,
+            &mut pool,
+            &mut WorkerTelemetry::new(),
+        );
+        agg.absorb(&report);
+        jsonl.extend_from_slice(jsonl_line(&report).as_bytes());
+        jsonl.push(b'\n');
+    }
+    (jsonl, agg.summary.render())
 }
 
 /// A 200-host campaign with `--workers 8` produces a byte-identical
@@ -110,32 +165,42 @@ fn reuse_off_is_deterministic_across_workers_too() {
 /// asserted end to end.
 #[test]
 fn pooled_and_fresh_construction_are_byte_identical() {
-    let run = |pool: bool, workers: usize, shard: Option<(usize, usize)>| -> Vec<u8> {
-        let cfg = CampaignConfig {
-            hosts: 60,
-            workers,
-            seed: 12,
-            samples: 4,
-            pool,
-            shard,
-            ..CampaignConfig::default()
-        };
-        let mut buf = Vec::new();
-        run_campaign(&cfg, Some(&mut buf)).expect("in-memory sink");
-        buf
+    let cfg = |workers: usize, shard: Option<(usize, usize)>| CampaignConfig {
+        hosts: 60,
+        workers,
+        seed: 12,
+        samples: 4,
+        shard,
+        ..CampaignConfig::default()
     };
-    let fresh = run(false, 1, None);
-    // Pooled, serial: every host after a worker's first rides a reset
+    let fresh = fresh_reference(&cfg(1, None));
+    // Serial: every host after the worker's first rides a reset
     // simulator.
-    assert_eq!(run(true, 1, None), fresh, "pooled vs fresh (1 worker)");
-    // Pooled, parallel: each worker recycles its own pool.
-    assert_eq!(run(true, 4, None), fresh, "pooled vs fresh (4 workers)");
-    // Pooled, sharded: concatenated pooled shards equal the fresh whole.
+    assert_eq!(
+        campaign_output(&cfg(1, None)),
+        fresh,
+        "pooled vs fresh (1 worker)"
+    );
+    // Parallel: each worker recycles its own pool.
+    assert_eq!(
+        campaign_output(&cfg(4, None)),
+        fresh,
+        "pooled vs fresh (4 workers)"
+    );
+    // Sharded: concatenated pooled shards equal the fresh whole, and
+    // each shard equals its own fresh reference.
     let mut stitched = Vec::new();
     for k in 1..=3 {
-        stitched.extend(run(true, 2, Some((k, 3))));
+        let shard = cfg(2, Some((k, 3)));
+        let pooled = campaign_output(&shard);
+        assert_eq!(
+            pooled,
+            fresh_reference(&shard),
+            "pooled vs fresh (shard {k}/3)"
+        );
+        stitched.extend(pooled.0);
     }
-    assert_eq!(stitched, fresh, "pooled shards vs fresh whole");
+    assert_eq!(stitched, fresh.0, "pooled shards vs fresh whole");
 }
 
 /// The campaign format's determinism contract, on a striping-heavy
@@ -144,21 +209,16 @@ fn pooled_and_fresh_construction_are_byte_identical() {
 /// and simulator pooling.
 #[test]
 fn each_sim_version_is_deterministic_across_workers_shards_and_pool() {
-    let run = |workers: usize, pool: bool, shard: Option<(usize, usize)>| {
-        let cfg = CampaignConfig {
-            hosts: 48,
-            workers,
-            seed: 14,
-            samples: 4,
-            pool,
-            shard,
-            ..CampaignConfig::default()
-        };
-        let mut buf = Vec::new();
-        let out = run_campaign(&cfg, Some(&mut buf)).expect("in-memory sink");
-        (buf, out.summary.render())
+    let cfg = |workers: usize, shard: Option<(usize, usize)>| CampaignConfig {
+        hosts: 48,
+        workers,
+        seed: 14,
+        samples: 4,
+        shard,
+        ..CampaignConfig::default()
     };
-    let (whole, summary) = run(1, true, None);
+    let run = |workers: usize, shard: Option<(usize, usize)>| campaign_output(&cfg(workers, shard));
+    let (whole, summary) = run(1, None);
     // The seed must draw striping hosts, or the check proves nothing
     // about the cross-traffic model.
     assert!(
@@ -166,13 +226,17 @@ fn each_sim_version_is_deterministic_across_workers_shards_and_pool() {
         "seed 14 must draw at least one striping host"
     );
     // Workers must not change a byte.
-    assert_eq!(run(6, true, None), (whole.clone(), summary.clone()));
+    assert_eq!(run(6, None), (whole.clone(), summary.clone()));
     // Pooling must not change a byte.
-    assert_eq!(run(2, false, None), (whole.clone(), summary), "pool");
+    assert_eq!(
+        fresh_reference(&cfg(2, None)),
+        (whole.clone(), summary),
+        "pool"
+    );
     // Concatenated shards must reproduce the whole report.
     let mut stitched = Vec::new();
     for k in 1..=3 {
-        stitched.extend(run(2, true, Some((k, 3))).0);
+        stitched.extend(run(2, Some((k, 3))).0);
     }
     assert_eq!(stitched, whole, "shards");
 }
@@ -231,39 +295,37 @@ fn pinned_v2_smoke_reproduces_historical_bytes() {
 
 /// The summary never passes through the in-order hand-off: each
 /// worker folds its own `ShardAggregator` and the shards merge at the
-/// end. It must render the same with a sink attached or not, for every
-/// worker count and with pooling on or off: summary state is a
-/// commutative monoid, so the nondeterministic work-stealing partition
-/// cannot leak into the output.
+/// end. It must render the same as the fresh-construction reference's
+/// one in-order fold, with a sink attached or not, for every worker
+/// count: summary state is a commutative monoid, so the
+/// nondeterministic work-stealing partition cannot leak into the
+/// output, and recycled simulators cannot either.
 #[test]
 fn funnel_free_summary_matches_ordered_path_across_workers() {
-    let run = |workers: usize, sink: bool, pool: bool| -> String {
-        let cfg = CampaignConfig {
-            hosts: 48,
-            workers,
-            seed: 14,
-            samples: 4,
-            pool,
-            ..CampaignConfig::default()
-        };
+    let cfg = |workers: usize| CampaignConfig {
+        hosts: 48,
+        workers,
+        seed: 14,
+        samples: 4,
+        ..CampaignConfig::default()
+    };
+    let run = |workers: usize, sink: bool| -> String {
         let out = if sink {
-            run_campaign(&cfg, Some(&mut Vec::new())).expect("in-memory sink")
+            run_campaign(&cfg(workers), Some(&mut Vec::new())).expect("in-memory sink")
         } else {
-            run_campaign(&cfg, None::<&mut Vec<u8>>).expect("no sink")
+            run_campaign(&cfg(workers), None::<&mut Vec<u8>>).expect("no sink")
         };
         assert_eq!(out.summary.hosts, 48);
         out.summary.render()
     };
-    let reference = run(1, true, true);
+    let (_, reference) = fresh_reference(&cfg(1));
     for workers in [1, 2, 8] {
         for sink in [true, false] {
-            for pool in [true, false] {
-                assert_eq!(
-                    run(workers, sink, pool),
-                    reference,
-                    "summary diverged (workers {workers}, sink {sink}, pool {pool})"
-                );
-            }
+            assert_eq!(
+                run(workers, sink),
+                reference,
+                "summary diverged (workers {workers}, sink {sink})"
+            );
         }
     }
 }
@@ -321,21 +383,15 @@ fn full_telemetry_reproduces_the_pinned_bytes() {
 /// per host — the pool's busiest recycling pattern must be inert too.
 #[test]
 fn pooled_matches_fresh_under_reuse_off() {
-    let run = |pool: bool| -> Vec<u8> {
-        let cfg = CampaignConfig {
-            hosts: 24,
-            workers: 2,
-            seed: 8,
-            samples: 3,
-            reuse: false,
-            pool,
-            ..CampaignConfig::default()
-        };
-        let mut buf = Vec::new();
-        run_campaign(&cfg, Some(&mut buf)).expect("in-memory sink");
-        buf
+    let cfg = CampaignConfig {
+        hosts: 24,
+        workers: 2,
+        seed: 8,
+        samples: 3,
+        reuse: false,
+        ..CampaignConfig::default()
     };
-    assert_eq!(run(true), run(false));
+    assert_eq!(campaign_output(&cfg), fresh_reference(&cfg));
 }
 
 /// The JSONL bytes of the pinned gap-sweep config (200 hosts, seed 1,

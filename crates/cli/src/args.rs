@@ -1,16 +1,16 @@
 //! Minimal flag parser (no external dependencies): `--key value` and
 //! `--flag` switches after a subcommand word.
 
-use std::collections::HashMap;
 use std::fmt;
 
-/// Parsed command line: the subcommand plus its options.
+/// Parsed command line: the subcommand plus its flags.
 #[derive(Debug, Clone, Default)]
 pub struct Args {
     /// The subcommand word (first non-flag argument).
     pub command: Option<String>,
-    options: HashMap<String, String>,
-    switches: Vec<String>,
+    /// Every flag in argv order: `--key value` with its value, a
+    /// `--flag` switch with `None`.
+    flags: Vec<(String, Option<String>)>,
 }
 
 /// Parse error with a user-facing message.
@@ -38,14 +38,11 @@ impl Args {
                 // The CLI must never panic on user input: re-read the
                 // peeked value fallibly instead of asserting on it.
                 let takes_value = matches!(it.peek(), Some(v) if !v.starts_with("--"));
-                match it.next_if(|_| takes_value) {
-                    Some(v) => {
-                        if args.options.insert(name.to_string(), v).is_some() {
-                            return Err(ArgError(format!("duplicate option --{name}")));
-                        }
-                    }
-                    None => args.switches.push(name.to_string()),
+                let value = it.next_if(|_| takes_value);
+                if value.is_some() && args.get(name).is_some() {
+                    return Err(ArgError(format!("duplicate option --{name}")));
                 }
+                args.flags.push((name.to_string(), value));
             } else if args.command.is_none() {
                 args.command = Some(tok);
             } else {
@@ -57,17 +54,19 @@ impl Args {
 
     /// String option.
     pub fn get(&self, name: &str) -> Option<&str> {
-        self.options.get(name).map(String::as_str)
+        self.flags
+            .iter()
+            .find_map(|(k, v)| v.as_deref().filter(|_| k == name))
     }
 
     /// Boolean switch (present without a value).
     pub fn switch(&self, name: &str) -> bool {
-        self.switches.iter().any(|s| s == name)
+        self.flags.iter().any(|(k, v)| k == name && v.is_none())
     }
 
     /// Typed option with a default.
     pub fn get_or<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, ArgError> {
-        match self.options.get(name) {
+        match self.get(name) {
             None => Ok(default),
             Some(v) => v
                 .parse()
@@ -78,22 +77,20 @@ impl Args {
     /// Verify that every flag is one of the command's `options`
     /// (`--key value`) or `switches` (`--flag`), in its own form: an
     /// option given without a value or a switch given one is an error
-    /// naming the flag, never silently read as the other kind.
+    /// naming the flag, never silently read as the other kind. The
+    /// error names the first bad flag in argv order.
     pub fn expect_only(&self, options: &[&str], switches: &[&str]) -> Result<(), ArgError> {
-        for k in self.options.keys() {
-            if switches.contains(&k.as_str()) {
-                return Err(ArgError(format!("--{k} takes no value")));
-            }
-            if !options.contains(&k.as_str()) {
-                return Err(ArgError(format!("unknown option --{k}")));
-            }
-        }
-        for k in &self.switches {
-            if options.contains(&k.as_str()) {
-                return Err(ArgError(format!("--{k} needs a value")));
-            }
-            if !switches.contains(&k.as_str()) {
-                return Err(ArgError(format!("unknown switch --{k}")));
+        for (k, v) in &self.flags {
+            let (is_option, is_switch) = (
+                options.contains(&k.as_str()),
+                switches.contains(&k.as_str()),
+            );
+            match v {
+                Some(_) if is_switch => return Err(ArgError(format!("--{k} takes no value"))),
+                Some(_) if !is_option => return Err(ArgError(format!("unknown option --{k}"))),
+                None if is_option => return Err(ArgError(format!("--{k} needs a value"))),
+                None if !is_switch => return Err(ArgError(format!("unknown switch --{k}"))),
+                _ => {}
             }
         }
         Ok(())
@@ -164,6 +161,22 @@ mod tests {
         assert_eq!(
             a.expect_only(&["n"], &[]).unwrap_err().0,
             "--n needs a value"
+        );
+    }
+
+    #[test]
+    fn expect_only_names_the_first_bad_flag() {
+        for _ in 0..20 {
+            let a = parse("m --aa 1 --bb 2 --cc 3").unwrap();
+            assert_eq!(
+                a.expect_only(&[], &[]).unwrap_err().0,
+                "unknown option --aa"
+            );
+        }
+        let a = parse("m --on --n 3 --x 1").unwrap();
+        assert_eq!(
+            a.expect_only(&["n"], &[]).unwrap_err().0,
+            "unknown switch --on"
         );
     }
 

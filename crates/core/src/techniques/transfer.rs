@@ -107,7 +107,9 @@ impl DataTransferTest {
             let Some(r) = got else {
                 break; // idle: transfer stalled or finished silently
             };
-            let tcp = r.pkt.tcp().expect("tcp");
+            let Some(tcp) = r.pkt.tcp() else {
+                break; // never taken: the filter admits only TCP segments
+            };
             if tcp.flags.contains(TcpFlags::RST) {
                 rst_seen = true;
                 break;

@@ -33,8 +33,20 @@
 //! reorders. It says so through [`Device::stage_exit`] and applies its
 //! one decision function through [`Device::stage_pass`].
 //! [`crate::pipes::RandomLoss`] and [`crate::pipes::Forwarder`] are
-//! stages, and [`crate::pipes::DelayJitter`] is one when its delay is
-//! constant.
+//! stages, [`crate::pipes::DelayJitter`] is one when its delay is
+//! constant, and [`crate::pipes::DummynetReorder`] is one for each
+//! direction whose swap probability is 0 (it never holds a packet
+//! there), while its swapping directions stay evented.
+//!
+//! A stage's exit link must have one feeder: the stage itself, passing
+//! on what one FIFO link brings to one port. That is why distinct ports
+//! exit by distinct ports. A device that merges several links onto one
+//! exit is not a stage for it, even where it neither drops nor delays:
+//! [`crate::pipes::LoadBalancer`]'s return path merges one link per
+//! backend onto its upstream link, and the dual test's two connections
+//! can pin to different backends. A cut there would offer packets to
+//! the upstream link in transmit order, not in arrival order, so that
+//! direction stays evented.
 //!
 //! A link is *cut* when it delivers into an untapped stage. The stage's
 //! exit link leads on to the next node; the chain of untapped stages
@@ -1279,6 +1291,104 @@ mod tests {
     #[test]
     fn cut_is_exact_behind_a_fault_gate() {
         assert_cut_is_exact(Mech::FaultGate);
+    }
+
+    /// What the prober saw and the dummynet's swap and hold-timeout
+    /// counters, per direction.
+    type DummynetRun = (Vec<(SimTime, Port, Packet)>, [u64; 4]);
+
+    /// prober (mailbox) — dummynet swapping `fwd` and `rev` — echo
+    /// host, with the dummynet untapped (each zero direction is cut) or
+    /// tapped (every hop evented). Probes go `spacing` apart, with
+    /// mailbox waits and pauses past the hold timeout.
+    fn one_way_dummynet_run(
+        fwd: f64,
+        rev: f64,
+        spacing: Duration,
+        tapped: bool,
+    ) -> (DummynetRun, Simulator) {
+        use crate::mailbox::{drain, Mailbox};
+        use crate::pipes::{DummynetConfig, DummynetReorder, DOWN, UP};
+        let mut sim = Simulator::new(9);
+        let (mb, queue) = Mailbox::new();
+        let me = sim.add_node(Box::new(mb));
+        let cfg = DummynetConfig {
+            fwd_swap: fwd,
+            rev_swap: rev,
+            max_hold: Duration::from_millis(5),
+        };
+        let (dn, d) = lend(&mut sim, DummynetReorder::new(cfg, 9, "dn"));
+        let host = sim.add_node(Box::new(Echo));
+        sim.connect(me, Port(0), dn, UP, LinkParams::wan());
+        sim.connect(dn, DOWN, host, Port(0), LinkParams::lan());
+        if tapped {
+            sim.tap_rx(dn);
+        }
+        let mut mailbox = Vec::new();
+        for i in 0..300u16 {
+            sim.transmit_from(me, Port(0), probe(i));
+            sim.run_for(spacing);
+            match i % 10 {
+                3 => wait_for_mail(&mut sim, &queue, Duration::from_millis(20)),
+                7 => sim.run_for(Duration::from_millis(u64::from(i % 3) * 4)),
+                _ => {}
+            }
+            mailbox.extend(drain(&queue).into_iter().map(|r| (r.time, r.port, r.pkt)));
+        }
+        sim.run_until_idle(SimTime::from_secs(10));
+        mailbox.extend(drain(&queue).into_iter().map(|r| (r.time, r.port, r.pkt)));
+        let d = d.borrow();
+        let counters = [
+            d.swaps(0),
+            d.swaps(1),
+            d.hold_timeouts(0),
+            d.hold_timeouts(1),
+        ];
+        ((mailbox, counters), sim)
+    }
+
+    #[test]
+    fn dummynet_cuts_only_its_zero_direction() {
+        use crate::pipes::{DummynetConfig, DummynetReorder, DOWN, UP};
+        let one_way = |fwd_swap, rev_swap| {
+            let cfg = DummynetConfig {
+                fwd_swap,
+                rev_swap,
+                ..DummynetConfig::default()
+            };
+            let d = DummynetReorder::new(cfg, 0, "d");
+            (d.stage_exit(UP), d.stage_exit(DOWN), d.stage_exit(Port(2)))
+        };
+        assert_eq!(one_way(0.3, 0.0), (None, Some(UP), None));
+        assert_eq!(one_way(0.0, 0.3), (Some(DOWN), None, None));
+        assert_eq!(one_way(0.0, 0.0), (Some(DOWN), Some(UP), None));
+        assert_eq!(one_way(1.0, 0.3), (None, None, None));
+
+        for (fwd, rev) in [(0.3, 0.0), (0.0, 0.3)] {
+            for spacing in [Duration::ZERO, Duration::from_micros(300)] {
+                let what = format!("fwd {fwd}, rev {rev}, spacing {spacing:?}");
+                let (evented, evented_sim) = one_way_dummynet_run(fwd, rev, spacing, true);
+                let (cut, cut_sim) = one_way_dummynet_run(fwd, rev, spacing, false);
+                assert_eq!(cut, evented, "{what}");
+                let (mailbox, counters) = cut;
+                // The swapping direction both swapped and timed out.
+                let dir = usize::from(rev > 0.0);
+                let [swaps, timeouts] = [counters[dir], counters[2 + dir]];
+                assert!(swaps > 0 && timeouts > 0, "{what}: {counters:?}");
+                // Every probe comes back; each crossed the zero
+                // direction once, as one stage pass that saved one
+                // delivery. The tapped pipe was never cut.
+                assert_eq!(mailbox.len(), 300, "{what}");
+                assert_eq!(cut_sim.stage_passes(), 300, "{what}");
+                assert_eq!(evented_sim.stage_passes(), 0, "{what}");
+                assert_eq!(
+                    cut_sim.events_processed() + 300,
+                    evented_sim.events_processed(),
+                    "{what}"
+                );
+                assert_eq!(cut_sim.packets.len(), 0);
+            }
+        }
     }
 
     #[test]

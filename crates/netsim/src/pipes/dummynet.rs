@@ -7,8 +7,13 @@
 //! same direction passes — an adjacent-pair exchange. A hold timeout
 //! bounds the delay when no successor arrives (end of a test run), in
 //! which case no swap happens.
+//!
+//! A direction whose probability is 0 never holds a packet, sets a
+//! timer or draws a random value, so the pipe is a stage (see
+//! [`crate::engine`]) for exactly those ports and the engine cuts
+//! through them.
 
-use super::other;
+use super::{other, two_port_exit};
 use crate::engine::{Ctx, Device, Port};
 use crate::rng;
 use rand::rngs::SmallRng;
@@ -139,17 +144,28 @@ impl Device for DummynetReorder {
         let dir = (token & 1) as usize;
         let generation = token >> 1;
         let st = &mut self.dirs[dir];
-        if let Some((held_generation, _)) = st.held {
-            if held_generation == generation {
-                let (_, pkt) = st.held.take().expect("checked");
+        match st.held.take() {
+            Some((held_generation, pkt)) if held_generation == generation => {
                 st.timeouts += 1;
                 ctx.transmit(other(Port(dir)), pkt);
             }
+            // A stale timeout: the swap completed or a newer hold began.
+            held => st.held = held,
         }
     }
 
     fn name(&self) -> &str {
         "dummynet-reorder"
+    }
+
+    fn stage_exit(&self, port: Port) -> Option<Port> {
+        let swaps = self.dirs.get(port.0)?.prob > 0.0;
+        two_port_exit(port).filter(|_| !swaps)
+    }
+
+    /// A zero-probability direction forwards every packet at once.
+    fn stage_pass(&mut self, _port: Port) -> Option<Duration> {
+        Some(Duration::ZERO)
     }
 }
 

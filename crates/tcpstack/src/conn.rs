@@ -102,7 +102,14 @@ struct TxObject {
 /// The deterministic, self-describing object body: byte `k` is
 /// `k % 251`, so traces can verify content.
 fn object_body(total: usize) -> Bytes {
-    Bytes::from((0..total).map(|k| (k % 251) as u8).collect::<Vec<u8>>())
+    const PERIOD: usize = 251;
+    let period: [u8; PERIOD] = std::array::from_fn(|k| k as u8);
+    let mut body = Vec::with_capacity(total);
+    while body.len() < total {
+        let n = (total - body.len()).min(PERIOD);
+        body.extend_from_slice(&period[..n]);
+    }
+    Bytes::from(body)
 }
 
 /// A server-side TCP connection.
@@ -909,6 +916,14 @@ mod tests {
 
     #[test]
     fn object_payload_is_deterministic() {
+        // Around one 251-byte period, and whole default-size objects.
+        for size in [0, 250, 251, 252, 12 * 1024, 16 * 1024] {
+            let body = object_body(size);
+            assert_eq!(body.len(), size);
+            for (k, b) in body.iter().enumerate() {
+                assert_eq!(*b, (k % 251) as u8, "object of {size} bytes, byte {k}");
+            }
+        }
         let mut c = established(ConnCfg {
             object_size: 300,
             ..cfg()
